@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check doccheck fuzz-smoke bench bench-fleet bench-content bench-edge bench-learn edge-smoke sweep-smoke learn-smoke examples clean
+.PHONY: all build test race vet check fuzz-smoke bench bench-fleet bench-content bench-edge bench-learn edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
 
 all: vet check build test
 
@@ -16,21 +16,15 @@ all: vet check build test
 check:
 	$(GO) run ./cmd/qarvcheck ./...
 
-# doccheck is the retired cmd/doccheck CLI, preserved byte-for-byte
-# behind `qarvcheck -doccheck`: fails when any exported identifier
-# lacks a doc comment. Redundant with `make check` (which includes the
-# same pass) but kept for scripts that depend on the legacy interface.
-doccheck:
-	$(GO) run ./cmd/qarvcheck -doccheck -q . internal/* cmd/* examples/*
-
 # fuzz-smoke runs each fuzz target briefly — enough to replay the
-# checked-in corpora and catch regressions in the parsers' error paths
-# without a long fuzzing campaign.
+# checked-in corpora and catch regressions in the parsers' and name
+# grammars' error paths without a long fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPLYDecode -fuzztime 10s ./internal/ply
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceJSON -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzAllocatorByName -fuzztime 10s ./internal/alloc
 
 build:
 	$(GO) build ./...

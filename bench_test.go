@@ -14,6 +14,7 @@ package qarv
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -247,14 +248,18 @@ func BenchmarkMultiDevice(b *testing.B) {
 // report delivery latency and the knee behaviour in the bytes domain.
 func BenchmarkOffloadUplink(b *testing.B) {
 	var res *OffloadResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Offload(OffloadParams{
+		s, err := NewSession(WithOffload(OffloadParams{
 			Samples: 60_000, Slots: 800, KneeSlot: 400, Seed: 1,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep, err := s.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = rep.Offload
 	}
 	b.ReportMetric(res.MeanLatency, "mean_latency_slots")
 	b.ReportMetric(res.P95Latency, "p95_latency_slots")

@@ -8,7 +8,6 @@
 //
 //	qarvcheck [-q] [./... | ./dir ...]   run every analyzer (default ./...)
 //	qarvcheck -list                      print the analyzers and contracts
-//	qarvcheck -doccheck [-q] DIR...      legacy doccheck-compatible mode
 //
 // Findings print as file:line:col: message (analyzer); exit status 1
 // when anything is found, 2 on usage or load errors. A finding is
@@ -16,11 +15,6 @@
 // the offending line or the line above — the reason is mandatory and
 // the analyzer name must be real, or the directive is itself a
 // finding.
-//
-// The -doccheck mode replaces the retired cmd/doccheck byte-for-byte:
-// same arguments, same per-directory report lines, same ok lines,
-// same exit codes — so `doccheck [-q] DIR...` scripts migrate by
-// s/doccheck/qarvcheck -doccheck/.
 package main
 
 import (
@@ -43,7 +37,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qarvcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	doccheck := fs.Bool("doccheck", false, "legacy mode: run only the godoc pass, byte-compatible with the old cmd/doccheck")
 	list := fs.Bool("list", false, "print the analyzers and the contracts they enforce")
 	quiet := fs.Bool("q", false, "suppress ok lines")
 	if err := fs.Parse(args); err != nil {
@@ -55,36 +48,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
 		return 0
-	case *doccheck:
-		return runDoccheck(fs.Args(), *quiet, stdout, stderr)
 	default:
 		return runSuite(fs.Args(), *quiet, stdout, stderr)
 	}
-}
-
-// runDoccheck reproduces the retired cmd/doccheck CLI exactly.
-func runDoccheck(dirs []string, quiet bool, stdout, stderr io.Writer) int {
-	if len(dirs) == 0 {
-		fmt.Fprintln(stderr, "usage: doccheck [-q] DIR [DIR...]")
-		return 2
-	}
-	missing := 0
-	for _, dir := range dirs {
-		n, err := lint.DoccheckDir(stdout, dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "doccheck: %s: %v\n", dir, err)
-			return 2
-		}
-		if n == 0 && !quiet {
-			fmt.Fprintf(stdout, "doccheck: %s: ok\n", dir)
-		}
-		missing += n
-	}
-	if missing > 0 {
-		fmt.Fprintf(stderr, "doccheck: %d exported identifier(s) missing doc comments\n", missing)
-		return 1
-	}
-	return 0
 }
 
 // runSuite loads the requested packages and runs the full analyzer

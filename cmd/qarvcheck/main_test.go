@@ -19,64 +19,6 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
-// TestDoccheckLegacyCLI pins the retired cmd/doccheck's CLI contract on
-// qarvcheck -doccheck: same usage error, same per-directory report
-// lines, same ok lines and -q suppression, same exit codes.
-func TestDoccheckLegacyCLI(t *testing.T) {
-	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "doccheck", "src", "qarv", "internal", "render")
-	clean := filepath.Join("..", "..", "internal", "lint", "testdata", "reseedclone", "src", "qarv", "internal", "geom")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-doccheck"}, &out, &errb); code != 2 {
-		t.Errorf("no args: exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "usage: doccheck [-q] DIR [DIR...]") {
-		t.Errorf("usage line diverged: %q", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-doccheck", fixture}, &out, &errb); code != 1 {
-		t.Errorf("fixture: exit = %d, want 1", code)
-	}
-	wantLines := []string{
-		"render.go:9: exported type Undocumented is missing a doc comment",
-		"render.go:17: exported var V is missing a doc comment",
-		"render.go:22: exported function UndocumentedFunc is missing a doc comment",
-		"render.go:32: exported method N is missing a doc comment",
-		"render.go:38: exported var Y is missing a doc comment",
-	}
-	for _, line := range wantLines {
-		if !strings.Contains(out.String(), line) {
-			t.Errorf("stdout missing %q:\n%s", line, out.String())
-		}
-	}
-	if got := errb.String(); got != "doccheck: 5 exported identifier(s) missing doc comments\n" {
-		t.Errorf("summary diverged: %q", got)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-doccheck", clean}, &out, &errb); code != 0 {
-		t.Errorf("clean dir: exit = %d, stderr: %s", code, errb.String())
-	}
-	if got := out.String(); got != "doccheck: "+clean+": ok\n" {
-		t.Errorf("ok line diverged: %q", got)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-doccheck", "-q", clean}, &out, &errb); code != 0 || out.Len() != 0 {
-		t.Errorf("-q clean dir: exit = %d, stdout = %q", code, out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-doccheck", filepath.Join(fixture, "no-such-dir")}, &out, &errb); code != 2 {
-		t.Errorf("bad dir: exit = %d, want 2", code)
-	}
-}
-
 // TestSuiteOnRepository runs the full multichecker over the module the
 // test binary lives in — the same invocation `make check` and CI use —
 // and requires it to be clean.

@@ -86,3 +86,45 @@ func TestEveryByNameAllocatorConservesBudget(t *testing.T) {
 		})
 	}
 }
+
+// FuzzAllocatorByName fuzzes the allocator name grammar: every name
+// either errors or yields an allocator whose shares stay finite and
+// non-negative, summing to at most the budget, across a few
+// Allocate/Learn rounds.
+func FuzzAllocatorByName(f *testing.F) {
+	for _, name := range alloc.CanonicalNames() {
+		f.Add(name)
+	}
+	for _, name := range []string{"", "bandit", "bandit:0", "bandit:1024", "gradient:NaN",
+		"gradient:Inf", "gradient:1e308", "gradient:5e-324", "equal:1", "nosuch"} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		a, err := alloc.ByName(name)
+		if err != nil {
+			return
+		}
+		learner, _ := a.(alloc.Learner)
+		backlogs := []float64{0, 5, 1e6}
+		utilities := []float64{1, 0.2, 0.7}
+		shares := make([]float64, len(backlogs))
+		for slot := 0; slot < 8; slot++ {
+			const budget = 10.0
+			a.Allocate(slot, budget, backlogs, shares)
+			var sum float64
+			for i, s := range shares {
+				if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+					t.Fatalf("%s slot %d device %d: share %v", a.Name(), slot, i, s)
+				}
+				sum += s
+			}
+			if sum > budget*(1+1e-9) {
+				t.Fatalf("%s slot %d: shares sum %v exceeds budget %v", a.Name(), slot, sum, budget)
+			}
+			if learner != nil {
+				learner.Learn(slot, utilities, backlogs)
+			}
+			backlogs[slot%len(backlogs)] += 3
+		}
+	})
+}

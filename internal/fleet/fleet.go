@@ -48,6 +48,7 @@ import (
 	"qarv/internal/policy"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
+	"qarv/internal/sim"
 	"qarv/internal/stats"
 )
 
@@ -358,20 +359,13 @@ func geometricLifetime(rng *geom.RNG, c float64) int {
 	return l
 }
 
-// sessionRunner is the fleet's compact mirror of sim's per-device slot
-// loop: identical queue dynamics (observe, decide, arrive, bound, serve,
-// drop-tail propagation) but streaming — per-slot values go straight
-// into the shard's sketches instead of per-slot slices, and the
-// trajectory survives only as a fixed-size decimated subsample.
+// sessionRunner streams one fleet session's sim.Kernel slots: per-slot
+// values go straight into the shard's sketches instead of per-slot
+// slices, and the trajectory survives only as a fixed-size decimated
+// subsample.
 type sessionRunner struct {
-	pol      policy.Policy
-	cost     delay.CostModel
-	utility  quality.UtilityModel
-	arrivals queueing.ArrivalProcess
-	service  delay.ServiceProcess
-
-	backlog *queueing.Backlog
-	frames  queueing.FrameQueue
+	kernel  sim.Kernel
+	service delay.ServiceProcess
 	traj    *stats.Decimator
 }
 
@@ -381,56 +375,34 @@ func newSessionRunner() *sessionRunner {
 
 // reset arms the runner for a fresh session of the given profile.
 func (r *sessionRunner) reset(p *Profile, arrRNG, svcRNG, polRNG *geom.RNG) error {
+	var arrivals queueing.ArrivalProcess
 	if p.NewArrivals != nil {
-		r.arrivals = p.NewArrivals(arrRNG)
+		arrivals = p.NewArrivals(arrRNG)
 	} else {
-		r.arrivals = &queueing.DeterministicArrivals{PerSlot: 1}
+		arrivals = &queueing.DeterministicArrivals{PerSlot: 1}
 	}
 	r.service = p.NewService(svcRNG)
 	pol, err := p.NewPolicy(polRNG)
 	if err != nil {
 		return err
 	}
-	r.pol = pol
-	r.cost = p.Cost
-	r.utility = p.Utility
-	r.backlog = queueing.NewBoundedBacklog(p.MaxBacklog)
-	r.frames = queueing.FrameQueue{}
+	r.kernel.Reset(sim.Device{
+		Policy: pol, Cost: p.Cost, Utility: p.Utility,
+		Arrivals: arrivals, MaxBacklog: p.MaxBacklog,
+	})
 	r.traj.Reset()
 	return nil
 }
 
 // step advances the session one (session-local) slot, streaming the
-// slot's observations into the profile accumulator. The update order
-// mirrors sim.deviceRunner.step exactly so a fleet of one session
-// reproduces a Session.Run report's aggregates bit-for-bit.
+// slot's observations into the profile accumulator.
 func (r *sessionRunner) step(t int, pa *profileAccum) {
-	q := r.backlog.Level()
-	r.traj.Add(q)
-	pa.backlog.Add(q)
-
-	d := r.pol.Decide(t, q)
-	u := r.utility.Utility(d)
-	pa.utility.Add(u)
-
-	n := r.arrivals.Frames(t)
-	if n < 0 {
-		n = 0
-	}
-	var work float64
-	for i := 0; i < n; i++ {
-		w := r.cost.FrameCost(d)
-		work += w
-		r.frames.Push(w, d, t)
-	}
-
-	droppedBefore := r.backlog.TotalDropped()
-	served := r.backlog.Step(work, r.service.Service(t))
-	if droppedNow := r.backlog.TotalDropped() - droppedBefore; droppedNow > 0 {
-		dropped, _ := r.frames.DropTail(droppedNow)
-		pa.framesDropped += int64(dropped)
-	}
-	for _, c := range r.frames.Serve(served, t) {
+	s := r.kernel.Step(t, r.service.Service(t))
+	r.traj.Add(s.Backlog)
+	pa.backlog.Add(s.Backlog)
+	pa.utility.Add(s.Utility)
+	pa.framesDropped += int64(s.DroppedFrames)
+	for _, c := range s.Completed {
 		pa.framesCompleted++
 		pa.sojourn.Add(float64(c.Sojourn))
 	}
@@ -444,7 +416,7 @@ func (r *sessionRunner) finish(pa *profileAccum, departed bool) {
 	if departed {
 		pa.departures++
 	}
-	pa.droppedWork += r.backlog.TotalDropped()
+	pa.droppedWork += r.kernel.DroppedWork()
 	v, err := queueing.ClassifyTrajectory(r.traj.Samples(), 0)
 	if err != nil {
 		pa.verdicts.Unclassified++

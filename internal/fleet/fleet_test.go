@@ -262,7 +262,7 @@ func TestFlatMemoryPerSession(t *testing.T) {
 	for t := 0; t < slots; t++ {
 		sess.step(t, pa)
 	}
-	if n := sess.frames.Len(); n > 4 {
+	if n := sess.kernel.Queued(); n > 4 {
 		t.Errorf("frame queue holds %d frames after %d slots, want O(frames in flight)", n, slots)
 	}
 	if n := len(sess.traj.Samples()); n > trajCap {

@@ -34,6 +34,7 @@ package learn
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"qarv/internal/alloc"
@@ -48,6 +49,11 @@ const (
 	// DefaultStep is the gradient allocator's base step size when
 	// "gradient" carries no parameter.
 	DefaultStep = 0.2
+
+	// maxArms bounds "bandit:ARMS": the bandit keeps O(ARMS) state and
+	// does O(ARMS) work per slot, so an unbounded count lets one name
+	// exhaust memory.
+	maxArms = 1024
 )
 
 func init() {
@@ -58,8 +64,8 @@ func init() {
 			arms := DefaultArms
 			if param != "" {
 				n, err := strconv.Atoi(param)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("bad arm count %q (want a positive integer)", param)
+				if err != nil || n < 1 || n > maxArms {
+					return nil, fmt.Errorf("bad arm count %q (want an integer in [1, %d])", param, maxArms)
 				}
 				arms = n
 			}
@@ -73,8 +79,10 @@ func init() {
 			step := DefaultStep
 			if param != "" {
 				s, err := strconv.ParseFloat(param, 64)
-				if err != nil || s <= 0 {
-					return nil, fmt.Errorf("bad step size %q (want a positive float)", param)
+				// !(s > 0) also rejects NaN, which compares false
+				// with everything.
+				if err != nil || !(s > 0) || math.IsInf(s, 1) {
+					return nil, fmt.Errorf("bad step size %q (want a positive finite float)", param)
 				}
 				step = s
 			}

@@ -52,10 +52,20 @@ func TestByNameRegistration(t *testing.T) {
 		t.Fatalf("bare bandit arms = %d, want %d", a.(*Bandit).Arms(), DefaultArms)
 	}
 
-	for _, bad := range []string{"bandit:0", "bandit:x", "gradient:-1", "gradient:zz"} {
+	// A step must be a positive finite float (a NaN step turns every
+	// share NaN after one Learn), and the arm count is capped at
+	// maxArms so one name cannot exhaust memory.
+	for _, bad := range []string{
+		"bandit:0", "bandit:x", "gradient:-1", "gradient:zz",
+		"gradient:NaN", "gradient:nan", "gradient:Inf", "gradient:+Inf",
+		"gradient:-Inf", "gradient:infinity", "bandit:1025", "bandit:9223372036854775807",
+	} {
 		if _, err := alloc.ByName(bad); err == nil {
 			t.Errorf("ByName(%q) succeeded, want error", bad)
 		}
+	}
+	if _, err := alloc.ByName("bandit:1024"); err != nil {
+		t.Errorf("bandit:1024 (the arm cap): %v", err)
 	}
 
 	_, err = alloc.ByName("nosuch")

@@ -1,14 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io"
-	"os"
-	"sort"
-	"strings"
 )
 
 // DoccheckAnalyzer is the godoc contract absorbed from the retired
@@ -34,8 +28,7 @@ func runDoccheck(pass *Pass) error {
 }
 
 // doccheckFile reports each exported top-level declaration in f that
-// lacks a doc comment. It is the single source of truth shared by the
-// analyzer and the byte-compatible legacy dir mode.
+// lacks a doc comment.
 func doccheckFile(f *ast.File, report func(pos token.Pos, what, name string)) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
@@ -102,44 +95,4 @@ func declWhat(tok token.Token) string {
 		return "const"
 	}
 	return "var"
-}
-
-// DoccheckDir replicates the retired cmd/doccheck on one package
-// directory, byte-for-byte: it parses the non-test files itself (no
-// type checking) and prints one line per undocumented exported
-// identifier in the old tool's exact format, returning the count.
-// qarvcheck -doccheck drives it so the legacy CLI contract survives
-// the merge.
-func DoccheckDir(out io.Writer, dir string) (int, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return 0, err
-	}
-	missing := 0
-	// Deterministic order across the (rare) multi-package dirs; the
-	// old tool ranged the map directly, which is byte-identical for
-	// the usual single-package case.
-	names := make([]string, 0, len(pkgs))
-	for name := range pkgs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		files := make([]string, 0, len(pkgs[name].Files))
-		for fname := range pkgs[name].Files {
-			files = append(files, fname)
-		}
-		sort.Strings(files)
-		for _, fname := range files {
-			doccheckFile(pkgs[name].Files[fname], func(pos token.Pos, what, ident string) {
-				p := fset.Position(pos)
-				fmt.Fprintf(out, "%s:%d: exported %s %s is missing a doc comment\n", p.Filename, p.Line, what, ident)
-				missing++
-			})
-		}
-	}
-	return missing, nil
 }

@@ -7,36 +7,20 @@ import (
 	"testing"
 )
 
-// doccheckFixtureDir is the fixture package shared by the byte-compat
-// and analyzer-mode tests.
+// doccheckFixtureDir is the fixture package of the analyzer-mode test.
 const doccheckFixtureDir = "testdata/doccheck/src/qarv/internal/render"
 
 // doccheckLegacyOutput is the exact stdout the retired cmd/doccheck
 // produced on the fixture (captured from the old binary before the
-// merge). DoccheckDir must reproduce it byte for byte — that is the
-// migration contract behind `qarvcheck -doccheck`.
+// merge). The analyzer's findings must carry the same lines.
 const doccheckLegacyOutput = doccheckFixtureDir + "/render.go:9: exported type Undocumented is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:17: exported var V is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:22: exported function UndocumentedFunc is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:32: exported method N is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:38: exported var Y is missing a doc comment\n"
 
-func TestDoccheckDirByteCompat(t *testing.T) {
-	var out bytes.Buffer
-	n, err := DoccheckDir(&out, doccheckFixtureDir)
-	if err != nil {
-		t.Fatalf("DoccheckDir: %v", err)
-	}
-	if n != 5 {
-		t.Errorf("missing count = %d, want 5", n)
-	}
-	if out.String() != doccheckLegacyOutput {
-		t.Errorf("output diverged from the retired cmd/doccheck:\ngot:\n%swant:\n%s", out.String(), doccheckLegacyOutput)
-	}
-}
-
-// TestDoccheckAnalyzerMatchesLegacy pins the analyzer mode to the
-// legacy dir mode: same files, same finding lines, same messages —
+// TestDoccheckAnalyzerMatchesLegacy pins the analyzer to the retired
+// cmd/doccheck's output: same files, same finding lines, same messages —
 // only the framing (qarvcheck diagnostics vs. raw lines) differs.
 func TestDoccheckAnalyzerMatchesLegacy(t *testing.T) {
 	loader := NewLoaderAt("qarv", filepath.Join("testdata", "doccheck", "src", "qarv"))
@@ -53,18 +37,6 @@ func TestDoccheckAnalyzerMatchesLegacy(t *testing.T) {
 		fmt.Fprintf(&got, "%s:%d: %s\n", filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Message)
 	}
 	if got.String() != doccheckLegacyOutput {
-		t.Errorf("analyzer findings diverged from the legacy dir mode:\ngot:\n%swant:\n%s", got.String(), doccheckLegacyOutput)
-	}
-}
-
-func TestDoccheckCleanDir(t *testing.T) {
-	var out bytes.Buffer
-	// The geom stub in the reseedclone fixture is fully documented.
-	n, err := DoccheckDir(&out, "testdata/reseedclone/src/qarv/internal/geom")
-	if err != nil {
-		t.Fatalf("DoccheckDir: %v", err)
-	}
-	if n != 0 || out.Len() != 0 {
-		t.Errorf("clean dir reported %d finding(s): %q", n, out.String())
+		t.Errorf("analyzer findings diverged from the retired cmd/doccheck:\ngot:\n%swant:\n%s", got.String(), doccheckLegacyOutput)
 	}
 }

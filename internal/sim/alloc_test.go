@@ -26,12 +26,16 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	// Two frames per slot against a bound below one frame's work: the
 	// overflow spans whole frames (counted) plus partial trims.
 	const slots = 600
-	dev := newDeviceRunner(max, c, u, &queueing.DeterministicArrivals{PerSlot: 2}, 100_000, slots)
+	dev := newDeviceRunner(Device{
+		Policy: max, Cost: c, Utility: u,
+		Arrivals: &queueing.DeterministicArrivals{PerSlot: 2}, MaxBacklog: 100_000,
+	}, slots)
+	k := &dev.kernel
 	for tt := 0; tt < slots; tt++ {
 		dev.step(tt, testService, -1, nil)
-		if diff := math.Abs(dev.frames.WorkBacklog() - dev.backlog.Level()); diff > 1e-9 {
+		if diff := math.Abs(k.frames.WorkBacklog() - k.Level()); diff > 1e-9 {
 			t.Fatalf("slot %d: frame work %v != scalar backlog %v (diff %v)",
-				tt, dev.frames.WorkBacklog(), dev.backlog.Level(), diff)
+				tt, k.frames.WorkBacklog(), k.Level(), diff)
 		}
 	}
 	res := dev.finalize(slots)
@@ -54,9 +58,9 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	if lam := res.Little.Lambda(); math.Abs(lam-1) > 1e-12 {
 		t.Errorf("lambda = %v, want 1 (admitted frames only)", lam)
 	}
-	if got := res.DroppedFrames + len(res.Completed) + dev.frames.Len(); got != 2*slots {
+	if got := res.DroppedFrames + len(res.Completed) + k.Queued(); got != 2*slots {
 		t.Errorf("dropped %d + completed %d + queued %d != %d offered",
-			res.DroppedFrames, len(res.Completed), dev.frames.Len(), 2*slots)
+			res.DroppedFrames, len(res.Completed), k.Queued(), 2*slots)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // (ProportionalBacklog, MaxWeight, WeightedRoundRobin) model an edge
 // that schedules on the queue lengths it can observe server-side.
 
-// Device describes one AR client in a multi-device run.
+// Device describes one AR client: the inputs of its slot Kernel, and
+// one entry of a multi-device run.
 type Device struct {
 	// Policy is the device's local depth controller.
 	Policy policy.Policy
@@ -129,8 +130,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 	n := len(cfg.Devices)
 	runners := make([]*deviceRunner, n)
 	for i, dev := range cfg.Devices {
-		runners[i] = newDeviceRunner(dev.Policy, dev.Cost, dev.Utility,
-			dev.Arrivals, dev.MaxBacklog, cfg.Slots)
+		runners[i] = newDeviceRunner(dev, cfg.Slots)
 		runners[i].setTelemetry(cfg.Metrics, cfg.Recorder)
 	}
 	var allocSlots *obs.Counter
@@ -164,7 +164,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 		}
 		budget := cfg.Service.Service(t)
 		for i, r := range runners {
-			backlogs[i] = r.backlog.Level()
+			backlogs[i] = r.kernel.Level()
 		}
 		allocator.Allocate(t, budget, backlogs, shares)
 		if telemetryOn {
@@ -180,7 +180,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 		if learner != nil {
 			for i, r := range runners {
 				utilities[i] = r.res.Utility[t]
-				backlogs[i] = r.backlog.Level()
+				backlogs[i] = r.kernel.Level()
 			}
 			learner.Learn(t, utilities, backlogs)
 		}

@@ -148,20 +148,13 @@ func (r *Result) DepthHistogram() map[int]int {
 	return h
 }
 
-// deviceRunner is the per-device slot-loop state shared by single-device
-// (RunContext) and multi-device (RunMultiContext) runs, so every device
-// gets the same full per-frame accounting: the timestamped FrameQueue,
-// Completed records, the Little estimator, and bounded-backlog drop
-// propagation.
+// deviceRunner folds one device's kernel slots into a full Result for
+// single-device (RunContext) and multi-device (RunMultiContext) runs:
+// per-slot slices, Completed records, the Little estimator, telemetry,
+// and observer events.
 type deviceRunner struct {
-	policy   policy.Policy
-	cost     delay.CostModel
-	utility  quality.UtilityModel
-	arrivals queueing.ArrivalProcess
-
-	backlog *queueing.Backlog
-	frames  queueing.FrameQueue
-	res     *Result
+	kernel Kernel
+	res    *Result
 
 	utilSum    float64
 	backlogSum float64
@@ -172,16 +165,10 @@ type deviceRunner struct {
 	lastDepth int
 }
 
-func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.UtilityModel,
-	arrivals queueing.ArrivalProcess, maxBacklog float64, slots int) *deviceRunner {
-	return &deviceRunner{
-		policy:   p,
-		cost:     cost,
-		utility:  utility,
-		arrivals: arrivals,
-		backlog:  queueing.NewBoundedBacklog(maxBacklog),
+func newDeviceRunner(dev Device, slots int) *deviceRunner {
+	r := &deviceRunner{
 		res: &Result{
-			PolicyName: p.Name(),
+			PolicyName: dev.Policy.Name(),
 			Backlog:    make([]float64, slots),
 			Depth:      make([]int, slots),
 			Arrived:    make([]float64, slots),
@@ -189,58 +176,27 @@ func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.Util
 			Utility:    make([]float64, slots),
 		},
 	}
+	r.kernel.Reset(dev)
+	return r
 }
 
 // step advances the device one slot against the given service capacity.
 // device tags the observer event (-1 for single-device runs).
 func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
+	s := r.kernel.Step(t, capacity)
 	res := r.res
-	q := r.backlog.Level() // line 4 of Algorithm 1: observe Q(t)
-	res.Backlog[t] = q
-	r.backlogSum += q
-	if q > res.MaxBacklog {
-		res.MaxBacklog = q
+	res.Backlog[t] = s.Backlog
+	r.backlogSum += s.Backlog
+	if s.Backlog > res.MaxBacklog {
+		res.MaxBacklog = s.Backlog
 	}
-
-	d := r.policy.Decide(t, q) // lines 5–11: closed-form decision
-	res.Depth[t] = d
-	u := r.utility.Utility(d)
-	res.Utility[t] = u
-	r.utilSum += u
-
-	// Arrivals at the chosen depth. Negative counts from custom
-	// processes are clamped so they can't drive λ (and LawGap) negative.
-	n := r.arrivals.Frames(t)
-	if n < 0 {
-		n = 0
-	}
-	var work float64
-	for i := 0; i < n; i++ {
-		w := r.cost.FrameCost(d)
-		work += w
-		r.frames.Push(w, d, t)
-	}
-	res.Arrived[t] = work
-
-	// Service. When the bounded backlog rejects part of the slot's
-	// arrivals, the same amount is dropped tail-first from the frame
-	// queue so FrameQueue.WorkBacklog tracks Backlog.Level exactly and
-	// sojourn statistics never count work that was never admitted.
-	droppedBefore := r.backlog.TotalDropped()
-	served := r.backlog.Step(work, capacity)
-	res.Served[t] = served
-	droppedNow := r.backlog.TotalDropped() - droppedBefore
-	admitted := n
-	droppedFrames := 0
-	if droppedNow > 0 {
-		droppedFrames, _ = r.frames.DropTail(droppedNow)
-		res.DroppedFrames += droppedFrames
-		if admitted -= droppedFrames; admitted < 0 {
-			admitted = 0
-		}
-	}
-	completed := r.frames.Serve(served, t)
-	for _, c := range completed {
+	res.Depth[t] = s.Depth
+	res.Utility[t] = s.Utility
+	r.utilSum += s.Utility
+	res.Arrived[t] = s.Arrived
+	res.Served[t] = s.Served
+	res.DroppedFrames += s.DroppedFrames
+	for _, c := range s.Completed {
 		res.Completed = append(res.Completed, c)
 		res.Little.ObserveCompletion(c.Sojourn)
 	}
@@ -249,31 +205,35 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 	// λ counts only admitted frames: overflow-removed frames never
 	// complete, so offering them to the estimator would fake a
 	// Little's-law violation in exactly the drop regime.
-	res.Little.ObserveSlot(float64(r.frames.Len()), admitted)
+	admitted := s.Frames - s.DroppedFrames
+	if admitted < 0 {
+		admitted = 0
+	}
+	res.Little.ObserveSlot(float64(r.kernel.Queued()), admitted)
 	if tel := r.tel; tel != nil {
 		tel.slots.Inc()
-		tel.framesArrived.Add(int64(n))
-		tel.framesCompleted.Add(int64(len(completed)))
-		tel.backlog.Observe(q)
-		tel.served.Observe(served)
-		tel.utility.Observe(u)
-		for _, c := range completed {
+		tel.framesArrived.Add(int64(s.Frames))
+		tel.framesCompleted.Add(int64(len(s.Completed)))
+		tel.backlog.Observe(s.Backlog)
+		tel.served.Observe(s.Served)
+		tel.utility.Observe(s.Utility)
+		for _, c := range s.Completed {
 			tel.sojourn.Observe(float64(c.Sojourn))
 		}
-		if droppedNow > 0 {
-			tel.framesDropped.Add(int64(droppedFrames))
-			tel.rec.Event(int64(t), "sim", "drop", int64(device), droppedNow)
+		if s.Dropped > 0 {
+			tel.framesDropped.Add(int64(s.DroppedFrames))
+			tel.rec.Event(int64(t), "sim", "drop", int64(device), s.Dropped)
 		}
-		if d != r.lastDepth {
-			tel.rec.Event(int64(t), "sim", "depth", int64(device), float64(d))
-			r.lastDepth = d
+		if s.Depth != r.lastDepth {
+			tel.rec.Event(int64(t), "sim", "depth", int64(device), float64(s.Depth))
+			r.lastDepth = s.Depth
 		}
-		tel.rec.Span(int64(t), 1, "sim", "slot", int64(device), q)
+		tel.rec.Span(int64(t), 1, "sim", "slot", int64(device), s.Backlog)
 	}
 	if obs != nil {
 		obs(SlotEvent{
-			Slot: t, Device: device, Backlog: q, Depth: d,
-			Utility: u, Arrived: work, Served: served, Dropped: droppedNow,
+			Slot: t, Device: device, Backlog: s.Backlog, Depth: s.Depth,
+			Utility: s.Utility, Arrived: s.Arrived, Served: s.Served, Dropped: s.Dropped,
 		})
 	}
 }
@@ -281,8 +241,8 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 // finalize fills the run summaries after the last slot.
 func (r *deviceRunner) finalize(slots int) *Result {
 	res := r.res
-	res.DroppedWork = r.backlog.TotalDropped()
-	res.FinalBacklog = r.backlog.Level()
+	res.DroppedWork = r.kernel.DroppedWork()
+	res.FinalBacklog = r.kernel.Level()
 	res.TimeAvgUtility = r.utilSum / float64(slots)
 	res.TimeAvgBacklog = r.backlogSum / float64(slots)
 	if len(res.Completed) > 0 {
@@ -305,7 +265,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dev := newDeviceRunner(cfg.Policy, cfg.Cost, cfg.Utility, cfg.Arrivals, cfg.MaxBacklog, cfg.Slots)
+	dev := newDeviceRunner(Device{
+		Policy: cfg.Policy, Cost: cfg.Cost, Utility: cfg.Utility,
+		Arrivals: cfg.Arrivals, MaxBacklog: cfg.MaxBacklog,
+	}, cfg.Slots)
 	dev.setTelemetry(cfg.Metrics, cfg.Recorder)
 	cancel := queueing.NewCancelCheck(ctx, 0)
 	for t := 0; t < cfg.Slots; t++ {

@@ -34,9 +34,6 @@
 //	pool := qarv.NewSessionPool(0, s1, s2, s3) // 0 = GOMAXPROCS workers
 //	reports, _ := pool.Run(ctx)                // reports[i] belongs to si
 //
-// The legacy flat entry points (RunSim, RunMulti, Offload) remain as thin
-// deprecated wrappers over Session; see MIGRATION.md.
-//
 // # Fleets
 //
 // Above the single session sits the fleet engine: 10k–1M independent
@@ -84,7 +81,6 @@
 package qarv
 
 import (
-	"context"
 	"io"
 
 	"qarv/internal/alloc"
@@ -326,8 +322,6 @@ type (
 	SimResult = sim.Result
 	// Device is one client of a multi-device run.
 	Device = sim.Device
-	// MultiConfig describes a shared-service multi-device run.
-	MultiConfig = sim.MultiConfig
 	// MultiResult aggregates per-device results of a shared run.
 	MultiResult = sim.MultiResult
 	// Allocator splits the shared per-slot edge budget across devices
@@ -368,57 +362,6 @@ func NewWeightedRoundRobin(weights ...float64) *WeightedRoundRobin {
 // "gradient[:STEP]". Unknown names error with the full enumeration
 // (AllocatorNames).
 func AllocatorByName(name string) (Allocator, error) { return alloc.ByName(name) }
-
-// RunSim executes one slotted simulation.
-//
-// Deprecated: build a Session instead — NewSession(WithPolicy(...), ...,
-// WithSlots(n)).Run(ctx) — which adds context cancellation, observers,
-// and pooling. RunSim remains as a thin wrapper and produces identical
-// results for identical configurations.
-func RunSim(cfg SimConfig) (*SimResult, error) {
-	opts := []Option{
-		WithPolicy(cfg.Policy), WithArrivals(cfg.Arrivals), WithCost(cfg.Cost),
-		WithUtility(cfg.Utility), WithService(cfg.Service), WithSlots(cfg.Slots),
-		WithMaxBacklog(cfg.MaxBacklog),
-	}
-	if cfg.Observer != nil {
-		opts = append(opts, WithObserver(cfg.Observer))
-	}
-	s, err := NewSession(opts...)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Sim, nil
-}
-
-// RunMulti executes a shared-service multi-device simulation.
-//
-// Deprecated: use NewSession(WithDevices(...), WithService(...),
-// WithSlots(n)).Run(ctx). RunMulti remains as a thin wrapper.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) {
-	if len(cfg.Devices) == 0 {
-		return nil, sim.ErrNoDevices
-	}
-	opts := []Option{
-		WithDevices(cfg.Devices...), WithService(cfg.Service), WithSlots(cfg.Slots),
-	}
-	if cfg.Observer != nil {
-		opts = append(opts, WithObserver(cfg.Observer))
-	}
-	s, err := NewSession(opts...)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Multi, nil
-}
 
 // ---------------------------------------------------------------------------
 // Content-backed workloads (measured quality/bytes ladders)
@@ -614,23 +557,6 @@ func HeterogeneousSpecs(n int) []AllocDeviceSpec { return experiments.Heterogene
 // custom fleet mixes from a calibrated scenario.
 func FleetVSweep(s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
 	return experiments.FleetVSweep(s, factors, sessions, slots, seed)
-}
-
-// Offload runs the edge-offload scenario: octree streams over an emulated
-// uplink, the controller stabilizing the transmit queue.
-//
-// Deprecated: use NewSession(WithOffload(p)).Run(ctx), optionally with
-// WithLink for uplink shaping. Offload remains as a thin wrapper.
-func Offload(p OffloadParams) (*OffloadResult, error) {
-	s, err := NewSession(WithOffload(p))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Offload, nil
 }
 
 type (

@@ -2,6 +2,7 @@ package qarv
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -65,17 +66,19 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Simulate.
-	res, err := RunSim(SimConfig{
-		Policy:   ctrl,
-		Arrivals: &DeterministicArrivals{PerSlot: 1},
-		Cost:     cost,
-		Utility:  util,
-		Service:  &ConstantService{Rate: service},
-		Slots:    600,
-	})
+	sess, err := NewSession(
+		WithPolicy(ctrl), WithArrivals(&DeterministicArrivals{PerSlot: 1}),
+		WithCost(cost), WithUtility(util),
+		WithService(&ConstantService{Rate: service}), WithSlots(600),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Sim
 	verdict, err := res.Verdict()
 	if err != nil {
 		t.Fatal(err)
@@ -206,18 +209,21 @@ func TestFacadeMultiDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMulti(MultiConfig{
-		Devices: []Device{
-			{Policy: ctrl1, Cost: scn.Cost, Utility: scn.Utility, Arrivals: &DeterministicArrivals{PerSlot: 1}},
-			{Policy: ctrl2, Cost: scn.Cost, Utility: scn.Utility, Arrivals: &DeterministicArrivals{PerSlot: 1}},
-		},
-		Service: &ConstantService{Rate: 2 * scn.ServiceRate},
-		Slots:   400,
-	})
+	sess, err := NewSession(
+		WithDevices(
+			Device{Policy: ctrl1, Cost: scn.Cost, Utility: scn.Utility, Arrivals: &DeterministicArrivals{PerSlot: 1}},
+			Device{Policy: ctrl2, Cost: scn.Cost, Utility: scn.Utility, Arrivals: &DeterministicArrivals{PerSlot: 1}},
+		),
+		WithService(&ConstantService{Rate: 2 * scn.ServiceRate}), WithSlots(400),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerDevice) != 2 {
-		t.Fatalf("devices = %d", len(res.PerDevice))
+	rep, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Multi.PerDevice) != 2 {
+		t.Fatalf("devices = %d", len(rep.Multi.PerDevice))
 	}
 }
