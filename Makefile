@@ -21,10 +21,12 @@ check:
 # grammars' error paths without a long fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPLYDecode -fuzztime 10s ./internal/ply
+	$(GO) test -run '^$$' -fuzz FuzzHeaderParse -fuzztime 10s ./internal/ply
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceJSON -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzAllocatorByName -fuzztime 10s ./internal/alloc
+	$(GO) test -run '^$$' -fuzz FuzzPolicyByName -fuzztime 10s ./internal/experiments
 
 build:
 	$(GO) build ./...

@@ -191,14 +191,19 @@ func PolicyByName(name string) (PolicySpec, error) {
 	}
 }
 
+// maxPolicySlots bounds the slot count of predictive[:H], delayed[:L],
+// and predictive-delayed[:L]: learn.Lagged keeps an L-slot buffer, so
+// an unbounded count lets one name exhaust memory.
+const maxPolicySlots = 1 << 16
+
 // learnPolicySpec builds the parameterized learning-layer policy specs:
 // predictive[:H], delayed[:L], and predictive-delayed[:L].
 func learnPolicySpec(name, base, param string) (PolicySpec, error) {
 	n := 0
 	if param != "" {
 		v, err := strconv.Atoi(param)
-		if err != nil || v < 1 {
-			return PolicySpec{}, fmt.Errorf("experiments: policy %q: bad parameter %q (want a positive slot count)", name, param)
+		if err != nil || v < 1 || v > maxPolicySlots {
+			return PolicySpec{}, fmt.Errorf("experiments: policy %q: bad parameter %q (want a slot count in [1, %d])", name, param, maxPolicySlots)
 		}
 		n = v
 	}

@@ -280,6 +280,40 @@ func TestFlatMemoryPerSession(t *testing.T) {
 	}
 }
 
+// TestSessionStepAllocationFree: a session runner that has run a
+// session keeps its frame, trajectory, and sketch buffers, so replaying
+// the same session allocates only in reset (the per-session policy,
+// processes, and RNG streams), never in a slot.
+func TestSessionStepAllocationFree(t *testing.T) {
+	prof := fixedProfile("poisson", 1, 1, 12, 10)
+	prof.NewArrivals = func(rng *geom.RNG) queueing.ArrivalProcess {
+		return &queueing.PoissonArrivals{Mean: 1.15, RNG: rng}
+	}
+	pa := newProfileAccum(0.01)
+	sess := newSessionRunner()
+	reset := func() {
+		rng := geom.NewRNG(7)
+		if err := sess.reset(&prof, rng.Split(), rng.Split(), rng.Split()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	session := func() {
+		reset()
+		for t := 0; t < 2000; t++ {
+			sess.step(t, pa)
+		}
+	}
+	resetAllocs := testing.AllocsPerRun(1, reset)
+	if allocs := testing.AllocsPerRun(1, session); allocs != resetAllocs {
+		t.Errorf("warm session allocates %v times, %v of them in its slots; want 0 in slots",
+			allocs, allocs-resetAllocs)
+	}
+	if pa.framesCompleted == 0 || pa.sojourn.BucketCount() < 2 {
+		t.Fatalf("session too trivial: %d frames, %d sojourn buckets",
+			pa.framesCompleted, pa.sojourn.BucketCount())
+	}
+}
+
 // TestBoundedBacklogDrops: a profile with MaxBacklog must propagate
 // overflow into dropped frames/work, exactly as sim runs do.
 func TestBoundedBacklogDrops(t *testing.T) {

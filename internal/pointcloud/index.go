@@ -10,12 +10,16 @@ import (
 // GridIndex is a uniform hash-grid spatial index over a cloud, supporting
 // nearest-neighbour, k-nearest and radius queries. A hash grid beats a k-d
 // tree for the near-uniform surface densities of voxelized body scans and
-// keeps the implementation dependency-free.
+// keeps the implementation dependency-free. The index assumes the cloud
+// is not modified after NewGridIndex.
 type GridIndex struct {
 	cloud    *Cloud
 	cellSize float64
 	origin   geom.Vec3
 	cells    map[[3]int32][]int32
+	// maxRing bounds ring expansion by the grid's occupied extent:
+	// enough rings to cross the whole bounding box.
+	maxRing int
 }
 
 // Neighbor is one k-nearest-neighbour result.
@@ -44,8 +48,10 @@ func NewGridIndex(cloud *Cloud, cellSize float64) *GridIndex {
 		}
 	}
 	g.cellSize = cellSize
+	g.maxRing = 1
 	if !b.IsEmpty() {
 		g.origin = b.Min
+		g.maxRing = int(b.LongestAxisLength()/cellSize) + 2
 	}
 	g.cells = make(map[[3]int32][]int32, n/2+1)
 	for i, p := range cloud.Points {
@@ -93,21 +99,11 @@ func (g *GridIndex) NearestExcluding(q geom.Vec3, exclude int) (int, float64) {
 				break
 			}
 		}
-		if !found && ring > g.maxRing() {
+		if !found && ring > g.maxRing {
 			break
 		}
 	}
 	return best, bestD2
-}
-
-// maxRing bounds ring expansion by the grid's occupied extent.
-func (g *GridIndex) maxRing() int {
-	// A generous bound: enough rings to cross the whole bounding box.
-	b := g.cloud.Bounds()
-	if b.IsEmpty() {
-		return 1
-	}
-	return int(b.LongestAxisLength()/g.cellSize) + 2
 }
 
 // scanRing visits all cells at Chebyshev distance ring from center and
@@ -196,8 +192,7 @@ func (g *GridIndex) KNearest(q geom.Vec3, k int) []Neighbor {
 	}
 	h := make(neighborHeap, 0, k+1)
 	center := g.cellOf(q)
-	maxRing := g.maxRing()
-	for ring := 0; ring <= maxRing; ring++ {
+	for ring := 0; ring <= g.maxRing; ring++ {
 		g.scanRingKNN(q, center, ring, k, &h)
 		if len(h) == k {
 			lower := float64(ring) * g.cellSize

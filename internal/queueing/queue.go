@@ -98,16 +98,28 @@ type Completed struct {
 // Completed frames are released eagerly: the queue keeps a head index
 // into its backing slice and compacts once the dead prefix dominates, so
 // memory stays proportional to the frames in flight, not to the run
-// length.
+// length. Reset empties the queue but keeps both backing buffers, so a
+// queue reused across sessions stops allocating once it has seen its
+// peak occupancy.
 type FrameQueue struct {
 	frames []Frame // frames[head:] are live
 	head   int
 	nextID int
+	done   []Completed // Serve's result buffer, reused slot to slot
 }
 
 // compactAfter is the dead-prefix length beyond which Serve compacts the
 // backing slice (once the prefix also outweighs the live frames).
 const compactAfter = 64
+
+// Reset empties the queue for a fresh run: frame IDs restart at 0 and
+// the backing buffers are kept for reuse.
+func (q *FrameQueue) Reset() {
+	q.frames = q.frames[:0]
+	q.head = 0
+	q.nextID = 0
+	q.done = q.done[:0]
+}
 
 // Len returns the number of queued (incl. partially served) frames.
 func (q *FrameQueue) Len() int { return len(q.frames) - q.head }
@@ -136,9 +148,11 @@ func (q *FrameQueue) Push(work float64, depth, now int) int {
 }
 
 // Serve applies capacity work units at slot now, FIFO with partial
-// service, and returns the frames completed this slot.
+// service, and returns the frames completed this slot. The returned
+// slice is the queue's own buffer: it is valid only until the next
+// Serve or Reset, so a caller that keeps completions must copy them.
 func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
-	var done []Completed
+	done := q.done[:0]
 	for capacity > 0 && q.head < len(q.frames) {
 		head := &q.frames[q.head]
 		if head.Remaining > capacity {
@@ -155,6 +169,7 @@ func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
 		})
 		q.head++
 	}
+	q.done = done
 	q.compact()
 	return done
 }

@@ -112,6 +112,37 @@ func TestFrameQueueFIFOAndPartialService(t *testing.T) {
 	}
 }
 
+// TestFrameQueueReset: a reset queue is empty, restarts IDs at 0, and
+// reuses its buffers, so a warm queue stops allocating.
+func TestFrameQueueReset(t *testing.T) {
+	var q FrameQueue
+	for slot := 0; slot < 200; slot++ {
+		q.Push(3, 5, slot)
+		q.Push(3, 5, slot)
+		q.Serve(4, slot)
+	}
+	q.Reset()
+	if q.Len() != 0 || q.WorkBacklog() != 0 || q.OldestAge(7) != 0 {
+		t.Fatalf("after Reset: len %d backlog %v oldest %d", q.Len(), q.WorkBacklog(), q.OldestAge(7))
+	}
+	if id := q.Push(1, 5, 0); id != 0 {
+		t.Errorf("first ID after Reset = %d, want 0", id)
+	}
+	if done := q.Serve(1, 0); len(done) != 1 || done[0].ID != 0 {
+		t.Errorf("served %v, want frame 0", done)
+	}
+	slot := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		q.Push(3, 5, slot)
+		q.Push(3, 5, slot)
+		q.Serve(6, slot)
+		slot++
+	})
+	if allocs != 0 {
+		t.Errorf("warm queue allocates %v times per slot, want 0", allocs)
+	}
+}
+
 func TestFrameQueueOldestAge(t *testing.T) {
 	var q FrameQueue
 	if q.OldestAge(10) != 0 {

@@ -34,17 +34,19 @@ type Slot struct {
 	// DroppedFrames counts the frames overflow removed whole from the
 	// frame queue; they never complete.
 	DroppedFrames int
-	// Completed lists the frames finished this slot.
+	// Completed lists the frames finished this slot. It aliases the
+	// kernel's frame-queue buffer and is overwritten by the next Step.
 	Completed []queueing.Completed
 }
 
 // Reset arms the kernel for a fresh device: an empty queue bounded by
-// dev.MaxBacklog (unbounded when not positive). A Kernel must be Reset
-// before its first Step.
+// dev.MaxBacklog (unbounded when not positive). The frame queue keeps
+// its buffers, so a kernel reused across sessions stops allocating once
+// warm. A Kernel must be Reset before its first Step.
 func (k *Kernel) Reset(dev Device) {
 	k.dev = dev
 	k.backlog = *queueing.NewBoundedBacklog(dev.MaxBacklog)
-	k.frames = queueing.FrameQueue{}
+	k.frames.Reset()
 }
 
 // Step advances the device one slot against the given service capacity.

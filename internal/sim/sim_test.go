@@ -425,3 +425,29 @@ func TestConfigValidateExported(t *testing.T) {
 		t.Errorf("empty multi config Validate = %v", err)
 	}
 }
+
+// TestKernelStepAllocationFree: Reset keeps the kernel's frame
+// buffers, so once a kernel has run a device to its peak queue, running
+// the device again from a Reset allocates nothing.
+func TestKernelStepAllocationFree(t *testing.T) {
+	u, c := fixtures(t)
+	// Max depth against testService diverges: ~60 frames in flight by
+	// the last slot, so a fresh queue would grow its buffer.
+	dev := Device{
+		Policy: &policy.FixedDepth{Depth: 10}, Cost: c, Utility: u,
+		Arrivals: &queueing.DeterministicArrivals{PerSlot: 1},
+	}
+	var k Kernel
+	run := func() {
+		k.Reset(dev)
+		for t := 0; t < 400; t++ {
+			k.Step(t, testService)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Errorf("warm kernel allocates %v times per run, want 0", allocs)
+	}
+	if k.Queued() < 50 {
+		t.Errorf("only %d frames in flight; the run does not exercise buffer growth", k.Queued())
+	}
+}

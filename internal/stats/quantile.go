@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // The fleet engine cannot retain per-frame trajectories — a million
@@ -22,12 +22,20 @@ const (
 	// sketchMaxBuckets it bounds the sketch's memory regardless of how
 	// many observations arrive.
 	sketchMinValue = 1e-6
-	// sketchMaxBuckets caps the logarithmic bucket count. At the default
-	// 1% accuracy the indexable range spans ~18 orders of magnitude
-	// before the cap engages, so in practice it never does; if it ever
-	// would, the lowest buckets collapse into the zero bucket (degrading
-	// accuracy at the low quantiles only).
+	// sketchMaxBuckets caps the span of the bucket window: the highest
+	// and lowest retained bucket indices differ by less than this. When
+	// an observation would stretch the window further, the lowest
+	// buckets fold into the zero bucket (degrading accuracy at the low
+	// quantiles only). At the default 1% accuracy the window spans
+	// 4096·log10(1.0202) ≈ 35.6 orders of magnitude, so any input whose
+	// non-empty buckets lie within 4096 indices — all fleet, sweep, and
+	// telemetry traffic — never folds.
 	sketchMaxBuckets = 4096
+	// sketchMinAccuracy is the finest accuracy a sketch accepts; finer
+	// requests are raised to it. It keeps the bucket base well above 1,
+	// so bucket indices and their differences stay far inside the int
+	// range.
+	sketchMinAccuracy = 1e-12
 	// DefaultSketchAccuracy is the relative error bound used when a
 	// caller passes a non-positive accuracy.
 	DefaultSketchAccuracy = 0.01
@@ -45,34 +53,41 @@ const (
 // clamped to zero. The zero value is NOT ready to use; construct with
 // NewQuantileSketch.
 type QuantileSketch struct {
-	alpha  float64 // guaranteed relative accuracy
-	gamma  float64 // bucket base (1+alpha)/(1-alpha)
-	lgamma float64 // ln(gamma), cached for indexing
+	alpha float64      // guaranteed relative accuracy
+	gamma float64      // bucket base (1+alpha)/(1-alpha)
+	index *bucketIndex // shared, read-only x → bucket map
 
-	zero    uint64         // observations in [0, sketchMinValue)
-	buckets map[int]uint64 // index i covers (gamma^(i-1), gamma^i]
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
+	zero uint64 // observations in [0, sketchMinValue) or folded out
+	// counts is the dense bucket window: counts[j] holds bucket lo+j,
+	// which covers (gamma^(lo+j-1), gamma^(lo+j)]. When any bucket is
+	// non-empty, the first and last entries are.
+	counts []uint64
+	lo     int
+	live   int // non-empty buckets in counts
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 }
 
 // NewQuantileSketch returns an empty sketch with the given relative
-// accuracy α ∈ (0, 1); non-positive values take DefaultSketchAccuracy
-// and values ≥ 1 are clamped to 0.5.
+// accuracy α ∈ (0, 1); non-positive values take DefaultSketchAccuracy,
+// values ≥ 1 are clamped to 0.5, and values below 1e-12 are raised to
+// 1e-12.
 func NewQuantileSketch(accuracy float64) *QuantileSketch {
-	if accuracy <= 0 {
+	switch {
+	case !(accuracy > 0):
 		accuracy = DefaultSketchAccuracy
-	}
-	if accuracy >= 1 {
+	case accuracy >= 1:
 		accuracy = 0.5
+	case accuracy < sketchMinAccuracy:
+		accuracy = sketchMinAccuracy
 	}
 	gamma := (1 + accuracy) / (1 - accuracy)
 	return &QuantileSketch{
-		alpha:   accuracy,
-		gamma:   gamma,
-		lgamma:  math.Log(gamma),
-		buckets: make(map[int]uint64),
+		alpha: accuracy,
+		gamma: gamma,
+		index: bucketIndexFor(accuracy, math.Log(gamma)),
 	}
 }
 
@@ -104,24 +119,71 @@ func (s *QuantileSketch) Add(x float64) {
 		s.zero++
 		return
 	}
-	i := int(math.Ceil(math.Log(x) / s.lgamma))
-	s.buckets[i]++
-	if len(s.buckets) > sketchMaxBuckets {
-		s.collapseLowest()
-	}
+	s.addBucket(s.index.of(x), 1)
 }
 
-// collapseLowest folds the smallest bucket into the zero bucket,
-// sacrificing low-quantile accuracy to hold the memory cap.
-func (s *QuantileSketch) collapseLowest() {
-	lowest, first := 0, true
-	for i := range s.buckets {
-		if first || i < lowest {
-			lowest, first = i, false
+// addBucket adds n > 0 observations to bucket i.
+func (s *QuantileSketch) addBucket(i int, n uint64) {
+	if j := i - s.lo; uint(j) < uint(len(s.counts)) {
+		if s.counts[j] == 0 {
+			s.live++
+		}
+		s.counts[j] += n
+		return
+	}
+	s.widen(i, n)
+}
+
+// widen adds n > 0 observations to bucket i outside the window,
+// stretching the window to reach it. The window never spans more than
+// sketchMaxBuckets indices: buckets that fall below its floor go to the
+// zero bucket. Which buckets end up folded depends only on the highest
+// index ever seen, so the final state does not depend on the order of
+// Adds and Merges.
+func (s *QuantileSketch) widen(i int, n uint64) {
+	old := len(s.counts)
+	if old > 0 && i < s.lo {
+		if s.lo+old-1-i >= sketchMaxBuckets {
+			s.zero += n
+			return
+		}
+		pad := s.lo - i
+		s.counts = slices.Grow(s.counts, pad)[:old+pad]
+		copy(s.counts[pad:], s.counts[:old])
+		clear(s.counts[1:pad])
+		s.counts[0] = n
+		s.lo = i
+	} else {
+		if floor := i - sketchMaxBuckets + 1; floor > s.lo {
+			s.foldBelow(floor)
+		}
+		if old = len(s.counts); old == 0 {
+			s.lo = i
+		}
+		span := i - s.lo + 1
+		s.counts = slices.Grow(s.counts, span-old)[:span]
+		clear(s.counts[old : span-1])
+		s.counts[span-1] = n
+	}
+	s.live++
+}
+
+// foldBelow moves every bucket below index floor into the zero bucket
+// and trims the window to start at its lowest remaining non-empty
+// bucket.
+func (s *QuantileSketch) foldBelow(floor int) {
+	k := min(floor-s.lo, len(s.counts))
+	for _, c := range s.counts[:k] {
+		if c > 0 {
+			s.zero += c
+			s.live--
 		}
 	}
-	s.zero += s.buckets[lowest]
-	delete(s.buckets, lowest)
+	for k < len(s.counts) && s.counts[k] == 0 {
+		k++
+	}
+	s.lo += k
+	s.counts = s.counts[:copy(s.counts, s.counts[k:])]
 }
 
 // Count returns the number of observations.
@@ -162,19 +224,14 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if rank < s.zero {
 		return 0
 	}
-	keys := make([]int, 0, len(s.buckets))
-	for i := range s.buckets {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
 	cum := s.zero
-	for _, i := range keys {
-		cum += s.buckets[i]
+	for j, c := range s.counts {
+		cum += c
 		if rank < cum {
 			// Midpoint of (gamma^(i-1), gamma^i] in relative terms:
 			// 2·gamma^i/(gamma+1) is within alpha of every value in the
 			// bucket, clamped into the exact observed range.
-			est := 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
+			est := 2 * math.Pow(s.gamma, float64(s.lo+j)) / (s.gamma + 1)
 			if est < s.min {
 				est = s.min
 			}
@@ -191,8 +248,9 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 // different accuracies (their bucket geometries are incompatible).
 var ErrSketchMismatch = errors.New("stats: cannot merge quantile sketches with different accuracies")
 
-// Merge folds o into s losslessly. Both sketches must have been built
-// with the same accuracy; o is left unchanged.
+// Merge folds o into s losslessly: the result equals adding o's
+// observations to s one by one. Both sketches must have been built with
+// the same accuracy; o is left unchanged.
 func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 	if o == nil || o.count == 0 {
 		return nil
@@ -213,19 +271,24 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 	s.count += o.count
 	s.sum += o.sum
 	s.zero += o.zero
-	for i, n := range o.buckets {
-		s.buckets[i] += n
-	}
-	for len(s.buckets) > sketchMaxBuckets {
-		s.collapseLowest()
+	if top := len(o.counts) - 1; top >= 0 {
+		// o's highest bucket first, so the window floor moves at most
+		// once; the rest then land in ascending order, stretching the
+		// window down at most once too.
+		s.addBucket(o.lo+top, o.counts[top])
+		for j, n := range o.counts[:top] {
+			if n > 0 {
+				s.addBucket(o.lo+j, n)
+			}
+		}
 	}
 	return nil
 }
 
-// BucketCount returns the number of live logarithmic buckets — the
+// BucketCount returns the number of non-empty logarithmic buckets — the
 // sketch's memory footprint in O(1)-sized cells (exposed for the
 // flat-memory property tests).
-func (s *QuantileSketch) BucketCount() int { return len(s.buckets) }
+func (s *QuantileSketch) BucketCount() int { return s.live }
 
 // Decimator retains a bounded, uniform-stride subsample of a series:
 // every stride-th value is kept, and when the buffer fills the stride

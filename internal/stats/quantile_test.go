@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -150,6 +151,27 @@ func TestQuantileSketchFixedMemory(t *testing.T) {
 	}
 }
 
+// TestQuantileSketchAccuracyClamp: out-of-range accuracies are
+// clamped, so a bucket base that rounds to 1 cannot produce indices
+// whose differences overflow.
+func TestQuantileSketchAccuracyClamp(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0, DefaultSketchAccuracy}, {-1, DefaultSketchAccuracy}, {math.NaN(), DefaultSketchAccuracy},
+		{1, 0.5}, {7, 0.5}, {1e-300, sketchMinAccuracy}, {1e-12, 1e-12},
+	} {
+		s := NewQuantileSketch(tc.in)
+		if got := s.Accuracy(); got != tc.want {
+			t.Errorf("accuracy %v clamped to %v, want %v", tc.in, got, tc.want)
+		}
+		for _, x := range []float64{0.5, 1, 3, 1e300, math.Inf(1)} {
+			s.Add(x)
+		}
+		if s.Count() != 5 || s.Max() != math.Inf(1) || s.BucketCount() == 0 {
+			t.Errorf("accuracy %v: count %d, max %v, %d buckets", tc.in, s.Count(), s.Max(), s.BucketCount())
+		}
+	}
+}
+
 func TestQuantileSketchEmptyAndSingle(t *testing.T) {
 	s := NewQuantileSketch(0.01)
 	if got := s.Quantile(0.5); got != 0 {
@@ -208,5 +230,131 @@ func TestDecimatorExactBelowCap(t *testing.T) {
 	d.Reset()
 	if d.Count() != 0 || len(d.Samples()) != 0 || d.Stride() != 1 {
 		t.Error("Reset did not clear state")
+	}
+}
+
+// TestQuantileSketchWindowCap: observations whose buckets span more
+// than sketchMaxBuckets indices fold the lowest buckets into the zero
+// bucket, keep the window within the cap, and leave the exact
+// statistics exact.
+func TestQuantileSketchWindowCap(t *testing.T) {
+	const alpha = 0.05
+	s := NewQuantileSketch(alpha)
+	gamma := (1 + alpha) / (1 - alpha)
+	// One observation per bucket, from bucket -100 up to bucket
+	// -100+sketchMaxBuckets+999: the lowest 1000 must fold.
+	var sum float64
+	n := sketchMaxBuckets + 1000
+	for i := 0; i < n; i++ {
+		x := math.Pow(gamma, float64(i-100)) / math.Sqrt(gamma) // bucket interior
+		s.Add(x)
+		sum += x
+		if c := s.BucketCount(); c > sketchMaxBuckets {
+			t.Fatalf("after %d adds: %d buckets exceed the cap %d", i+1, c, sketchMaxBuckets)
+		}
+	}
+	if c := s.BucketCount(); c != sketchMaxBuckets {
+		t.Errorf("bucket count %d, want the full window %d", c, sketchMaxBuckets)
+	}
+	if len(s.counts) != sketchMaxBuckets {
+		t.Errorf("window spans %d buckets, want %d", len(s.counts), sketchMaxBuckets)
+	}
+	if s.zero != 1000 {
+		t.Errorf("zero bucket holds %d, want the 1000 folded observations", s.zero)
+	}
+	if s.Count() != uint64(n) {
+		t.Errorf("count %d, want %d", s.Count(), n)
+	}
+	if s.Sum() != sum {
+		t.Errorf("sum %v, want %v", s.Sum(), sum)
+	}
+	if lo, hi := math.Pow(gamma, -100)/math.Sqrt(gamma), math.Pow(gamma, float64(n-101))/math.Sqrt(gamma); s.Min() != lo || s.Max() != hi {
+		t.Errorf("min/max %v/%v, want %v/%v", s.Min(), s.Max(), lo, hi)
+	}
+	// Folded observations read as 0; the rest keep the error bound.
+	if q := s.Quantile(0); q != 0 {
+		t.Errorf("q0 = %v, want 0 after folding", q)
+	}
+	if got, want := s.Quantile(1), s.Max(); math.Abs(got-want) > alpha*want {
+		t.Errorf("q1 = %v, want within %v of max %v", got, alpha, want)
+	}
+
+	// An observation below the window's floor folds straight away.
+	s.Add(math.Pow(gamma, -120))
+	if s.zero != 1001 || s.BucketCount() != sketchMaxBuckets {
+		t.Errorf("below-floor add: zero=%d buckets=%d", s.zero, s.BucketCount())
+	}
+	// The largest float moves the floor up again; every observation
+	// stays accounted for.
+	s.Add(math.MaxFloat64)
+	top := s.index.of(math.MaxFloat64)
+	var held uint64
+	for _, c := range s.counts {
+		held += c
+	}
+	if s.lo < top-sketchMaxBuckets+1 || s.lo+len(s.counts)-1 != top {
+		t.Errorf("window [%d, %d] not within the cap below the top bucket %d", s.lo, s.lo+len(s.counts)-1, top)
+	}
+	if s.zero+held != s.Count() {
+		t.Errorf("zero %d + buckets %d != count %d", s.zero, held, s.Count())
+	}
+}
+
+// TestQuantileSketchMergeDisjointWindows: merging sketches whose bucket
+// windows do not overlap — including a merge that pushes the combined
+// span past the cap — leaves exactly the state of adding every
+// observation to one sketch in sequence.
+func TestQuantileSketchMergeDisjointWindows(t *testing.T) {
+	const alpha = 0.05
+	for _, tc := range []struct {
+		name           string
+		loDecade, span float64 // each part draws from 10^[lo, lo+span)
+		folds          bool    // the combined span exceeds the cap
+	}{
+		{"apart", 0, 2, false},
+		{"past-cap", -5, 3, true},
+	} {
+		rng := geom.NewRNG(23)
+		seq := NewQuantileSketch(alpha)
+		low, high := NewQuantileSketch(alpha), NewQuantileSketch(alpha)
+		var lows, highs []float64
+		for i := 0; i < 5000; i++ {
+			lows = append(lows, math.Pow(10, tc.loDecade+rng.Float64()*tc.span))
+			// The high part sits 100 decades up: disjoint windows, and
+			// at 5% accuracy (≈ 178 decades of window) the "past-cap"
+			// case spans beyond the cap once combined.
+			highs = append(highs, math.Pow(10, 100+tc.loDecade+rng.Float64()*tc.span*30))
+		}
+		for _, x := range lows {
+			low.Add(x)
+			seq.Add(x)
+		}
+		for _, x := range highs {
+			high.Add(x)
+			seq.Add(x)
+		}
+		if folded := seq.zero > 0; folded != tc.folds {
+			t.Fatalf("%s: sequential sketch folded=%v, want %v", tc.name, folded, tc.folds)
+		}
+		for _, order := range [][2]*QuantileSketch{{low, high}, {high, low}} {
+			m := NewQuantileSketch(alpha)
+			for _, part := range order {
+				if err := m.Merge(part); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.zero != seq.zero || m.lo != seq.lo || m.live != seq.live || !slices.Equal(m.counts, seq.counts) {
+				t.Errorf("%s: merged window (zero %d, lo %d, live %d, span %d) != sequential (zero %d, lo %d, live %d, span %d)",
+					tc.name, m.zero, m.lo, m.live, len(m.counts), seq.zero, seq.lo, seq.live, len(seq.counts))
+			}
+			if m.Count() != seq.Count() || m.Min() != seq.Min() || m.Max() != seq.Max() {
+				t.Errorf("%s: merged count/min/max differ", tc.name)
+			}
+			for q := 0.0; q <= 1.0; q += 0.05 {
+				if got, want := m.Quantile(q), seq.Quantile(q); got != want {
+					t.Errorf("%s q=%v: merged %v != sequential %v", tc.name, q, got, want)
+				}
+			}
+		}
 	}
 }
