@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz-smoke bench bench-fleet bench-content bench-edge bench-learn edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
+.PHONY: all build test race vet check fuzz-smoke bench edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
 
 all: vet check build test
 
@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzAllocatorByName -fuzztime 10s ./internal/alloc
 	$(GO) test -run '^$$' -fuzz FuzzPolicyByName -fuzztime 10s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz FuzzBuildAxis -fuzztime 10s ./cmd/qarvsweep
 
 build:
 	$(GO) build ./...
@@ -40,40 +41,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-bench: bench-fleet
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/fleet
-
-# bench-fleet records the fleet engine's headline capacity number
-# (device-slots/sec, plus the full streaming report) into the bench
-# history artifact BENCH_fleet.json.
-bench-fleet:
-	$(GO) run ./cmd/qarvfleet -n 20000 -slots 500 -churn 0.001 -json > BENCH_fleet.json
-
-# bench-content records the content pipeline's timings (octree build,
-# PLY decode, stream-size ladder, full profile build) into the bench
-# history artifact BENCH_content.json. BENCHTIME=1x makes it a smoke.
-BENCHTIME ?= 1s
-bench-content:
-	$(GO) run ./cmd/qarvbench -benchtime $(BENCHTIME) > BENCH_content.json
-
-# bench-edge records the live edge service's capacity numbers
-# (sessions/sec, frames/sec, p50/p99/max end-to-end frame latency) from
-# EDGE_SESSIONS concurrent loopback TCP sessions against one
-# stream.Server, into the bench history artifact BENCH_edge.json.
-# EDGE_SESSIONS=64 makes it a CI smoke; history runs use the default.
-EDGE_SESSIONS ?= 1000
-EDGE_FRAMES ?= 20
-bench-edge:
-	$(GO) run ./cmd/qarvbench -edge -sessions $(EDGE_SESSIONS) \
-		-frames $(EDGE_FRAMES) -payload 4096 > BENCH_edge.json
-
-# bench-learn records the learning layer's per-slot overhead (every
-# ByName-reachable allocator's Allocate+Learn cycle, the display-policy
-# wrappers' Decide) into the bench history artifact BENCH_learn.json.
-# BENCHTIME=1x makes it a smoke.
-bench-learn:
-	$(GO) run ./cmd/qarvbench -learn -benchtime $(BENCHTIME) > BENCH_learn.json
+# bench runs every go test benchmark once — a rot check that each
+# still compiles and completes, not a measurement. The measured,
+# regression-gated benchmark is perfbench (bash perfbench/run.sh,
+# declared in BENCHMARK.json).
+bench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # edge-smoke runs the socket-level edge suite: the soak/conservation,
 # drain, shed, idle-timeout, and ack-failure tests under the race
@@ -92,7 +65,8 @@ sweep-smoke:
 # learn-smoke runs the learning layer end to end through cmd/qarvsweep:
 # a small learned-allocator × network grid must produce byte-identical
 # JSON at -workers 1 and -workers 4, a learned-policy axis must run
-# through the fleet-shaped grid, and the learn bench must execute at 1x.
+# through the fleet-shaped grid, and the learn benchmarks (allocator
+# Allocate+Learn, display-policy wrappers) must execute at 1x.
 learn-smoke:
 	$(GO) run ./cmd/qarvsweep -samples 60000 -slots 200 -seed 1 \
 		-axis alloc=equal,bandit:4,gradient:0.2 -axis net=static,markov:0.8:64 \
@@ -105,7 +79,7 @@ learn-smoke:
 	$(GO) run ./cmd/qarvsweep -samples 60000 -slots 200 -seed 1 \
 		-axis policy=proposed,predictive-delayed:6 -axis net=static \
 		-json > /dev/null
-	$(GO) run ./cmd/qarvbench -learn -benchtime 1x > /dev/null
+	$(GO) test -run '^$$' -bench 'AllocateLearn|PolicyWrappers' -benchtime 1x ./internal/alloc ./internal/learn
 
 # telemetry-smoke runs the observability layer end to end: the pin
 # tests proving metric snapshots are byte-identical per seed at any

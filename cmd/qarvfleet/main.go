@@ -471,8 +471,8 @@ func buildNetClass(name string, weight float64, file string) (netClass, error) {
 // crossNetwork crosses the policy mix with the network mix: every
 // (profile, class) pair becomes one fleet device class (weights
 // multiply), the class's factor process modulating the profile's own
-// service. A pure static -net leaves the profiles untouched, so default
-// runs (and BENCH_fleet.json) are unchanged.
+// service. A pure static -net leaves the profiles untouched, so a
+// default run's report is byte-identical to one without -net.
 func crossNetwork(profiles []qarv.Profile, classes []netClass) []qarv.Profile {
 	if len(classes) == 1 && classes[0].wrap == nil {
 		return profiles

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qarv"
 )
 
 // TestRunGridJSON: a 2×2 grid on the fleet backend emits a well-formed
@@ -119,7 +122,7 @@ func TestRunContentAxis(t *testing.T) {
 }
 
 // TestRunRejectsBadInput: missing axes, malformed specs, unknown kinds
-// and backends all fail with a clear error.
+// and backends, and non-finite axis values all fail with a clear error.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{},
@@ -132,6 +135,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-axis", "content=no-such-asset"},
 		{"-axis", "viewdist=2,4"},
 		{"-axis", "viewdist=loot:x"},
+		{"-samples", "30000", "-slots", "50", "-axis", "v=NaN"},
+		{"-samples", "30000", "-slots", "50", "-axis", "v=Inf"},
+		{"-samples", "30000", "-slots", "50", "-axis", "rate=NaN"},
+		{"-samples", "30000", "-slots", "50", "-axis", "arrivals=NaN"},
+		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:NaN"},
+		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:0.5:NaN"},
+		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:0.5:Inf"},
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v: expected error", args)
@@ -184,4 +194,53 @@ func TestRunLearnedAxes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "predictive[:H]") {
 		t.Errorf("policy error %v does not enumerate the grammar", err)
 	}
+}
+
+// FuzzBuildAxis fuzzes the -axis grammar: every spec either errors, or
+// each of its points either fails Apply on a fresh cell or leaves the
+// cell's V factor, service fraction and arrival rate finite and
+// non-negative, with any network point's capacity process serving a
+// finite, non-negative amount in each of 64 slots. Content, viewdist
+// and net=trace:FILE specs are skipped because they read assets and
+// files.
+func FuzzBuildAxis(f *testing.F) {
+	for _, spec := range []string{
+		"v=0.5,1,2", "rate=0.8,1", "arrivals=0.9,1.1", "slots=400,800",
+		"net=static,markov:0.6,handoff,trace", "net=markov:0.8:64",
+		"alloc=equal,bandit:4,gradient:0.2", "policy=proposed,max,min,predictive-delayed:6",
+		"v=NaN", "v=Inf", "rate=NaN", "rate=Inf", "arrivals=NaN", "arrivals=Inf",
+		"net=markov:NaN", "net=markov:0.5:NaN", "net=markov:0.5:Inf", "net=markov:-0",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		kind, list, _ := strings.Cut(spec, "=")
+		if kind == "content" || kind == "viewdist" || (kind == "net" && strings.Contains(list, "trace:")) {
+			return
+		}
+		ax, err := buildAxis(spec, options{})
+		if err != nil {
+			return
+		}
+		nonNegFinite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
+		for _, p := range ax.Points {
+			c := &qarv.SweepCell{VFactor: 1, ServiceFraction: 1}
+			if err := p.Apply(c); err != nil {
+				continue
+			}
+			if !nonNegFinite(c.VFactor) || !nonNegFinite(c.ServiceFraction) || !nonNegFinite(c.ArrivalRate) {
+				t.Fatalf("%q point %q: V factor %v, service fraction %v, arrival rate %v",
+					spec, p.Label, c.VFactor, c.ServiceFraction, c.ArrivalRate)
+			}
+			if c.NewService == nil {
+				continue
+			}
+			proc := c.NewService(c, 100, qarv.NewRNG(1))
+			for slot := 0; slot < 64; slot++ {
+				if s := proc.Service(slot); !nonNegFinite(s) {
+					t.Fatalf("%q point %q slot %d: service %v", spec, p.Label, slot, s)
+				}
+			}
+		}
+	})
 }

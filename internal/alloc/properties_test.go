@@ -128,3 +128,40 @@ func FuzzAllocatorByName(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkAllocateLearn measures each ByName-reachable allocator's
+// per-slot cost — one Allocate, plus Learn for online learners — over
+// an 8-device backlog state, the contending-fleet shape the learning
+// ablation sweeps. EqualSplit is the baseline a learned strategy's
+// overhead is read against.
+func BenchmarkAllocateLearn(b *testing.B) {
+	const devices = 8
+	for _, name := range alloc.CanonicalNames() {
+		name := name
+		b.Run(name, func(b *testing.B) {
+			a, err := alloc.ByName(name)
+			if err != nil {
+				b.Fatalf("ByName(%q): %v", name, err)
+			}
+			if r, ok := a.(interface{ Reseed(*geom.RNG) }); ok {
+				r.Reseed(geom.NewRNG(1))
+			}
+			learner, _ := a.(alloc.Learner)
+			backlogs := make([]float64, devices)
+			utilities := make([]float64, devices)
+			shares := make([]float64, devices)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for d := range backlogs {
+					backlogs[d] = float64((i*7 + d*13) % 97)
+					utilities[d] = float64((i+d)%10) / 10
+				}
+				a.Allocate(i, 100, backlogs, shares)
+				if learner != nil {
+					learner.Learn(i, utilities, backlogs)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -42,8 +43,8 @@ func Axis(name string, apply func(c *SweepCell, v float64) error, values ...floa
 // controller at factor × the calibrated V.
 func AxisV(factors ...float64) SweepAxis {
 	return Axis("v", func(c *SweepCell, f float64) error {
-		if f <= 0 {
-			return fmt.Errorf("experiments: V factor must be positive, got %g", f)
+		if !positiveFinite(f) {
+			return fmt.Errorf("experiments: V factor must be positive and finite, got %g", f)
 		}
 		c.VFactor = f
 		return nil
@@ -55,8 +56,8 @@ func AxisV(factors ...float64) SweepAxis {
 // allocator cells) by the fraction.
 func AxisServiceRate(fractions ...float64) SweepAxis {
 	return Axis("rate", func(c *SweepCell, f float64) error {
-		if f <= 0 {
-			return fmt.Errorf("experiments: service fraction must be positive, got %g", f)
+		if !positiveFinite(f) {
+			return fmt.Errorf("experiments: service fraction must be positive and finite, got %g", f)
 		}
 		c.ServiceFraction = f
 		return nil
@@ -68,13 +69,17 @@ func AxisServiceRate(fractions ...float64) SweepAxis {
 // seeded from the cell seed.
 func AxisArrivalRate(means ...float64) SweepAxis {
 	return Axis("arrivals", func(c *SweepCell, m float64) error {
-		if m <= 0 {
-			return fmt.Errorf("experiments: arrival rate must be positive, got %g", m)
+		if !positiveFinite(m) {
+			return fmt.Errorf("experiments: arrival rate must be positive and finite, got %g", m)
 		}
 		c.ArrivalRate = m
 		return nil
 	}, means...)
 }
+
+// positiveFinite reports whether v is a usable rate or factor: NaN
+// fails every comparison, so v <= 0 alone would let it through.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // AxisSlots sweeps the horizon.
 func AxisSlots(slots ...int) SweepAxis {
@@ -331,7 +336,7 @@ func NetworkStatic() SweepNetwork {
 // lie in [0, 1).
 func NetworkMarkov(volatility float64) SweepNetwork {
 	n := SweepNetwork{Name: fmt.Sprintf("markov-v%.2f", volatility)}
-	if volatility < 0 || volatility >= 1 {
+	if !(volatility >= 0 && volatility < 1) {
 		n.Err = fmt.Errorf("%w: %v", ErrBadVolatility, volatility)
 		return n
 	}
@@ -355,12 +360,12 @@ func NetworkMarkov(volatility float64) SweepNetwork {
 // mean-revert faster than any useful prediction horizon.
 func NetworkMarkovDwell(volatility, dwellSlots float64) SweepNetwork {
 	n := SweepNetwork{Name: fmt.Sprintf("markov-v%.2f-d%g", volatility, dwellSlots)}
-	if volatility < 0 || volatility >= 1 {
+	if !(volatility >= 0 && volatility < 1) {
 		n.Err = fmt.Errorf("%w: %v", ErrBadVolatility, volatility)
 		return n
 	}
-	if dwellSlots < 1 {
-		n.Err = fmt.Errorf("experiments: markov dwell must be >= 1 slot, got %g", dwellSlots)
+	if !(dwellSlots >= 1) || math.IsInf(dwellSlots, 1) {
+		n.Err = fmt.Errorf("experiments: markov dwell must be finite and >= 1 slot, got %g", dwellSlots)
 		return n
 	}
 	p := 1 / dwellSlots

@@ -39,8 +39,8 @@ type NetworkSweepRow struct {
 	Verdicts    fleet.VerdictCounts
 }
 
-// ErrBadVolatility reports a volatility outside [0, 1).
-var ErrBadVolatility = errors.New("experiments: volatility must lie in [0, 1)")
+// ErrBadVolatility reports a volatility that is NaN or outside [0, 1).
+var ErrBadVolatility = errors.New("experiments: volatility must be finite and lie in [0, 1)")
 
 // NetworkSweep runs a fleet per volatility point, every session drawing
 // its capacity from an independent mean-preserving Markov (good/bad)

@@ -29,7 +29,7 @@ func benchProfile() Profile {
 }
 
 // BenchmarkFleet measures engine throughput in device-slots/sec — the
-// headline capacity number the bench history (BENCH_fleet.json) tracks —
+// headline capacity number perfbench's fleet-churn workload gates on —
 // across fleet sizes. b.N multiplies whole fleet runs; the custom metric
 // normalizes to simulated device-time per wall second.
 func BenchmarkFleet(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 
 	"qarv/internal/alloc"
 	"qarv/internal/geom"
+	"qarv/internal/policy"
 )
 
 // probePolicy records every backlog observation it is handed.
@@ -312,5 +313,30 @@ func TestNames(t *testing.T) {
 	l := NewLagged(&probePolicy{}, 6)
 	if l.Name() != "delayed:6(probe)" {
 		t.Fatalf("lagged name %q", l.Name())
+	}
+}
+
+// BenchmarkPolicyWrappers measures the display-policy wrappers' own
+// per-slot cost (EWMA update, ring buffer): each wraps a trivial
+// FixedDepth so the controller's argmax does not mask it, and "stock"
+// is the unwrapped baseline.
+func BenchmarkPolicyWrappers(b *testing.B) {
+	fixed := func() policy.Policy { return &policy.FixedDepth{Depth: 8} }
+	for _, bc := range []struct {
+		name string
+		p    policy.Policy
+	}{
+		{"stock", fixed()},
+		{"predictive", NewPredictive(fixed(), 0, 0)},
+		{"delayed", NewLagged(fixed(), 0)},
+		{"predictive-delayed", NewLagged(NewPredictive(fixed(), 0, 0), 0)},
+	} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.p.Decide(i, float64((i*11)%1000))
+			}
+		})
 	}
 }
