@@ -171,37 +171,42 @@ func BenchmarkControllerDecisionPerCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVSweep regenerates ABL-V: the O(1/V) quality gap vs
-// O(V) backlog tradeoff around the calibrated V*.
-func BenchmarkAblationVSweep(b *testing.B) {
+// runBenchSweep runs one grid over the benchmark scenario b.N times and
+// returns the last report.
+func runBenchSweep(b *testing.B, slots int, axes ...experiments.SweepAxis) *experiments.SweepReport {
+	b.Helper()
 	s := benchScenario(b)
-	var rows []experiments.VSweepRow
-	var err error
+	var rep *experiments.SweepReport
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.VSweep(s, []float64{0.1, 1, 3}, 4000)
+		sw, err := experiments.NewSweep(s, axes...)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sw.Slots = slots
+		if rep, err = sw.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.TimeAvgBacklog, fmt.Sprintf("avgQ_V=%.2gx", r.V/s.V))
+	return rep
+}
+
+// BenchmarkAblationVSweep regenerates ABL-V: the O(1/V) quality gap vs
+// O(V) backlog tradeoff around the calibrated V*.
+func BenchmarkAblationVSweep(b *testing.B) {
+	factors := []float64{0.1, 1, 3}
+	rep := runBenchSweep(b, 4000, experiments.AxisV(factors...))
+	for i, r := range rep.Rows {
+		b.ReportMetric(r.Backlog, fmt.Sprintf("avgQ_V=%.2gx", factors[i]))
 	}
 }
 
 // BenchmarkAblationRateSweep regenerates ABL-RATE: robustness of the
 // calibrated controller to service-rate shifts.
 func BenchmarkAblationRateSweep(b *testing.B) {
-	s := benchScenario(b)
-	var rows []experiments.RateSweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RateSweep(s, []float64{0.7, 1.0, 1.3}, 1600)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanDepth, fmt.Sprintf("meanDepth_rate=%.1fx", r.RateFraction))
+	fractions := []float64{0.7, 1.0, 1.3}
+	rep := runBenchSweep(b, 1600, experiments.AxisServiceRate(fractions...))
+	for i, r := range rep.Rows {
+		b.ReportMetric(r.MeanDepth, fmt.Sprintf("meanDepth_rate=%.1fx", fractions[i]))
 	}
 }
 
@@ -209,16 +214,18 @@ func BenchmarkAblationRateSweep(b *testing.B) {
 // utility-model independent after per-model V recalibration.
 func BenchmarkAblationUtilitySweep(b *testing.B) {
 	s := benchScenario(b)
-	var rows []experiments.UtilitySweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.UtilitySweep(s, 800)
-		if err != nil {
-			b.Fatal(err)
-		}
+	logU, err := quality.NewLogPointUtility(s.Profile)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.KneeSlot), "knee_"+r.Model)
+	normU, err := quality.NewNormalizedPointUtility(s.Profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := []quality.UtilityModel{logU, normU, &quality.LinearDepthUtility{MaxDepth: s.Params.CaptureDepth}}
+	rep := runBenchSweep(b, 800, experiments.AxisUtility(models...))
+	for i, r := range rep.Rows {
+		b.ReportMetric(float64(r.KneeSlot), "knee_"+models[i].Name())
 	}
 }
 
@@ -229,7 +236,7 @@ func BenchmarkMultiDevice(b *testing.B) {
 	var rows []experiments.MultiDeviceRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.MultiDevice(s, 4, 1600)
+		rows, err = experiments.MultiDeviceContext(context.Background(), s, 4, 1600)
 		if err != nil {
 			b.Fatal(err)
 		}

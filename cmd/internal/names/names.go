@@ -43,12 +43,13 @@ func PolicyUsage() string {
 func Spec(name string) (qarv.PolicySpec, error) { return qarv.SweepPolicyByName(name) }
 
 // Policy builds a runnable policy over a calibrated scenario: the Spec
-// grammar plus "fixed:N", with vOverride (when positive) replacing the
-// calibrated V of the proposed controller. Stochastic policies draw
+// grammar plus "fixed:N", with vOverride (when non-zero) replacing the
+// calibrated V of the proposed controller; a negative or non-finite
+// override is rejected by the controller. Stochastic policies draw
 // from a stream derived from seed.
 func Policy(scn *qarv.Scenario, name string, vOverride float64, seed uint64) (qarv.Policy, error) {
 	switch {
-	case name == "proposed" && vOverride > 0:
+	case name == "proposed" && vOverride != 0:
 		return scn.ControllerWithV(vOverride)
 	case strings.HasPrefix(name, "fixed:"):
 		d, err := strconv.Atoi(strings.TrimPrefix(name, "fixed:"))

@@ -25,6 +25,7 @@ import (
 
 	"qarv"
 	"qarv/internal/experiments"
+	"qarv/internal/quality"
 	"qarv/internal/trace"
 )
 
@@ -310,51 +311,74 @@ func runFig2(ctx context.Context, o options, scn *experiments.Scenario, out io.W
 }
 
 func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out io.Writer) error {
-	// Each sweep checks the context between points; the boundary checks
-	// here end the whole batch promptly after a cancel.
-	vRows, err := experiments.VSweepContext(ctx, scn, nil, 0)
+	// Each grid honors ctx inside its cells' slot loops; a cancel ends
+	// the whole batch at the next grid.
+	//
+	// ABL-V. The knee (time-to-steady-state) scales with V: the horizon
+	// covers the largest factor's knee with generous settling room.
+	vFactors := []float64{0.01, 0.1, 0.5, 1, 2, 10}
+	vRep, err := ablationGrid(ctx, scn, max(4*scn.Params.Slots, int(4*10*scn.Params.KneeSlot)),
+		experiments.AxisV(vFactors...))
 	if err != nil {
 		return err
 	}
 	vHeaders := []string{"V", "avg utility", "avg backlog", "max backlog", "verdict", "bound gap", "bound backlog"}
-	vCells := make([][]string, len(vRows))
-	for i, r := range vRows {
+	vCells := make([][]string, len(vRep.Rows))
+	for i, r := range vRep.Rows {
+		v := scn.V * vFactors[i]
+		var boundGap, boundBacklog float64
+		if ctrl, err := scn.ControllerWithV(v); err == nil {
+			if b, err := ctrl.TheoreticalBounds(scn.ServiceRate); err == nil {
+				boundGap, boundBacklog = b.UtilityGap, b.BacklogBound
+			}
+		}
 		vCells[i] = []string{
-			fmt.Sprintf("%.4g", r.V),
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			fmt.Sprintf("%.4g", v),
+			fmt.Sprintf("%.4f", r.Utility),
+			fmt.Sprintf("%.0f", r.Backlog),
 			fmt.Sprintf("%.0f", r.MaxBacklog),
 			r.Verdict,
-			fmt.Sprintf("%.4g", r.BoundUtilityGap),
-			fmt.Sprintf("%.4g", r.BoundBacklog),
+			fmt.Sprintf("%.4g", boundGap),
+			fmt.Sprintf("%.4g", boundBacklog),
 		}
 	}
-	rRows, err := experiments.RateSweepContext(ctx, scn, nil, 0)
+	// ABL-RATE.
+	fractions := []float64{0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.4}
+	rRep, err := ablationGrid(ctx, scn, 2*scn.Params.Slots, experiments.AxisServiceRate(fractions...))
 	if err != nil {
 		return err
 	}
 	rHeaders := []string{"rate ×", "avg utility", "avg backlog", "verdict", "mean depth"}
-	rCells := make([][]string, len(rRows))
-	for i, r := range rRows {
+	rCells := make([][]string, len(rRep.Rows))
+	for i, r := range rRep.Rows {
 		rCells[i] = []string{
-			fmt.Sprintf("%.2f", r.RateFraction),
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			fmt.Sprintf("%.2f", fractions[i]),
+			fmt.Sprintf("%.4f", r.Utility),
+			fmt.Sprintf("%.0f", r.Backlog),
 			r.Verdict,
 			fmt.Sprintf("%.2f", r.MeanDepth),
 		}
 	}
-	// ABL-UTIL.
-	uRows, err := experiments.UtilitySweepContext(ctx, scn, 0)
+	// ABL-UTIL: V recalibrated per model so knees stay comparable.
+	logU, err := quality.NewLogPointUtility(scn.Profile)
+	if err != nil {
+		return err
+	}
+	normU, err := quality.NewNormalizedPointUtility(scn.Profile)
+	if err != nil {
+		return err
+	}
+	models := []quality.UtilityModel{logU, normU, &quality.LinearDepthUtility{MaxDepth: scn.Params.CaptureDepth}}
+	uRep, err := ablationGrid(ctx, scn, scn.Params.Slots, experiments.AxisUtility(models...))
 	if err != nil {
 		return err
 	}
 	uHeaders := []string{"utility model", "avg backlog", "verdict", "mean depth", "knee slot"}
-	uCells := make([][]string, len(uRows))
-	for i, r := range uRows {
+	uCells := make([][]string, len(uRep.Rows))
+	for i, r := range uRep.Rows {
 		uCells[i] = []string{
-			r.Model,
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			models[i].Name(),
+			fmt.Sprintf("%.0f", r.Backlog),
 			r.Verdict,
 			fmt.Sprintf("%.2f", r.MeanDepth),
 			strconv.Itoa(r.KneeSlot),
@@ -428,6 +452,16 @@ func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out
 	}
 	fmt.Fprintf(out, "wrote %s\n", filepath.Join(o.outDir, "ablations.txt"))
 	return nil
+}
+
+// ablationGrid runs one ablation grid on the pool backend over slots.
+func ablationGrid(ctx context.Context, scn *experiments.Scenario, slots int, axes ...experiments.SweepAxis) (*experiments.SweepReport, error) {
+	sw, err := experiments.NewSweep(scn, axes...)
+	if err != nil {
+		return nil, err
+	}
+	sw.Slots = slots
+	return sw.Run(ctx)
 }
 
 func writeCSV(t *trace.Table, path string) error {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,5 +121,28 @@ func TestRunGridFigure(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "GRID — V × network volatility") {
 		t.Errorf("missing grid table on stdout: %q", out.String())
+	}
+}
+
+// TestRunAblationsFigure pins the ablation tables byte for byte: every
+// sweep behind them (V, rate, utility model, multi-device, baselines) is
+// deterministic, so any change to a grid or a row's formatting moves the
+// digest.
+func TestRunAblationsFigure(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-fig", "ablations", "-quiet", "-samples", "30000",
+		"-out", dir}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "ablations.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "646402f3ddb5bd17a931aa1cd839dd465363ad8a1b4d4e0f6f429470b6939236"
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("ablations.txt sha256 = %s, want %s\n%s", got, want, raw)
 	}
 }

@@ -125,6 +125,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), simArgs("-devices", "2", "-alloc", "fifo"), &bytes.Buffer{}); err == nil {
 		t.Error("unknown allocator must error")
 	}
+	if err := run(context.Background(), simArgs("-v", "NaN"), &bytes.Buffer{}); err == nil {
+		t.Error("-v NaN must error")
+	}
+	if err := run(context.Background(), simArgs("-knee", "NaN"), &bytes.Buffer{}); err == nil {
+		t.Error("-knee NaN must error")
+	}
 }
 
 func TestRunNetworkDynamics(t *testing.T) {

@@ -49,13 +49,13 @@ type Config struct {
 // Config validation errors; matchable with errors.Is.
 var (
 	ErrNoDepths    = errors.New("core: empty depth candidate set")
-	ErrNegativeV   = errors.New("core: V must be non-negative")
+	ErrNegativeV   = errors.New("core: V must be finite and non-negative")
 	ErrNilUtility  = errors.New("core: nil utility model")
 	ErrNilCost     = errors.New("core: nil cost model")
 	ErrBadUtility  = errors.New("core: utility must be strictly increasing over the depth set")
 	ErrBadCost     = errors.New("core: cost must be strictly increasing over the depth set")
 	ErrNoTradeoff  = errors.New("core: calibration requires at least two depths")
-	ErrBadKnee     = errors.New("core: calibration knee must be positive")
+	ErrBadKnee     = errors.New("core: calibration knee must be finite and positive")
 	ErrNotUnstable = errors.New("core: calibration requires the max depth to exceed the service rate")
 )
 
@@ -76,7 +76,7 @@ func New(cfg Config) (*Controller, error) {
 	if len(cfg.Depths) == 0 {
 		return nil, ErrNoDepths
 	}
-	if cfg.V < 0 {
+	if !(cfg.V >= 0) || math.IsInf(cfg.V, 1) {
 		return nil, fmt.Errorf("%w: %v", ErrNegativeV, cfg.V)
 	}
 	if cfg.Utility == nil {
@@ -237,8 +237,8 @@ func (c *Controller) SwitchBacklog() float64 {
 // V = kneeSlot·r / minRatio. This inverts the hand-tuning the authors did
 // to land their knee at 400 unit times.
 func CalibrateV(kneeSlot float64, serviceRate float64, cfg Config) (float64, error) {
-	if kneeSlot <= 0 {
-		return 0, ErrBadKnee
+	if !(kneeSlot > 0) || math.IsInf(kneeSlot, 1) {
+		return 0, fmt.Errorf("%w: %v", ErrBadKnee, kneeSlot)
 	}
 	probe := cfg
 	probe.V = 1

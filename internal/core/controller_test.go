@@ -44,10 +44,12 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("no depths: %v", err)
 	}
 
-	cfg = base
-	cfg.V = -1
-	if _, err := New(cfg); !errors.Is(err, ErrNegativeV) {
-		t.Errorf("negative V: %v", err)
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg = base
+		cfg.V = v
+		if _, err := New(cfg); !errors.Is(err, ErrNegativeV) {
+			t.Errorf("V=%v: %v", v, err)
+		}
 	}
 
 	cfg = base
@@ -288,8 +290,10 @@ func TestCalibrateVPlacesKnee(t *testing.T) {
 
 func TestCalibrateVErrors(t *testing.T) {
 	cfg := testConfig(0)
-	if _, err := CalibrateV(0, 100, cfg); !errors.Is(err, ErrBadKnee) {
-		t.Errorf("zero knee: %v", err)
+	for _, knee := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := CalibrateV(knee, 100, cfg); !errors.Is(err, ErrBadKnee) {
+			t.Errorf("knee %v: %v", knee, err)
+		}
 	}
 	// Service above a(max): nothing to stabilize against.
 	if _, err := CalibrateV(400, 1e9, cfg); !errors.Is(err, ErrNotUnstable) {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"qarv/internal/alloc"
 	"qarv/internal/netem"
+	"qarv/internal/queueing"
 	"qarv/internal/sim"
 )
 
@@ -23,38 +25,80 @@ func sweepScenario(t *testing.T) *Scenario {
 	return s
 }
 
+// demandWeightedAllocators is the allocator ablation's strategy list:
+// one fresh instance of each, the round-robin entry weighted by each
+// device's demand (with equal weights a WRR share is budget/n by design,
+// which rightly starves a device whose fixed demand exceeds it).
+func demandWeightedAllocators(specs []AllocDeviceSpec) []alloc.Allocator {
+	weights := make([]float64, len(specs))
+	for i, spec := range specs {
+		weights[i] = float64(spec.ArrivalsPerSlot) * spec.CostScale
+	}
+	return []alloc.Allocator{
+		alloc.EqualSplit{},
+		&alloc.ProportionalBacklog{},
+		alloc.NewMaxWeight(),
+		alloc.NewWeightedRoundRobin(weights...),
+	}
+}
+
+// allocatorGrid builds the allocator ablation: one axis of
+// shared-budget multi-device cells on the pool backend, each cell
+// handed its own allocator instance, over the given fleet and budget
+// (zero budget takes the engine's 1.25 × FleetMinDemand).
+func allocatorGrid(t *testing.T, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []alloc.Allocator) *Sweep {
+	t.Helper()
+	points := make([]AxisPoint, len(allocators))
+	for i, a := range allocators {
+		a := a
+		points[i] = AxisPoint{
+			Label: a.Name(),
+			Apply: func(c *SweepCell) error {
+				c.NewAllocator = func() (alloc.Allocator, error) { return a, nil }
+				return nil
+			},
+		}
+	}
+	sw := newGrid(t, s, slots, SweepAxis{Name: "allocator", Points: points})
+	sw.Configure(func(c *SweepCell) error {
+		c.Devices = specs
+		c.Budget = budget
+		return nil
+	})
+	return sw
+}
+
 // TestAllocatorSweepShowsAllocationMatters is the acceptance ablation:
 // on the heterogeneous 8-device fleet (mixed arrival rates and cost
 // models), the information-free equal split leaves the heavy device
-// diverging while ProportionalBacklog and MaxWeight stabilize every
-// device from the same budget.
+// diverging while ProportionalBacklog, MaxWeight and demand-weighted
+// round robin stabilize every device from the same budget.
 func TestAllocatorSweepShowsAllocationMatters(t *testing.T) {
 	s := sweepScenario(t)
-	rows, err := AllocatorSweep(s, nil, 0, 1600, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(DefaultAllocators()) {
+	specs := HeterogeneousSpecs(8)
+	rows := runGrid(t, allocatorGrid(t, s, specs, 0, 1600, demandWeightedAllocators(specs)))
+	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	byName := map[string]AllocatorSweepRow{}
+	byName := map[string]SweepRow{}
 	for _, r := range rows {
-		byName[r.Allocator] = r
-		if len(r.PerDevice) != 8 {
-			t.Fatalf("%s: %d devices, want 8", r.Allocator, len(r.PerDevice))
+		res := r.Detail.Multi
+		byName[res.Allocator] = r
+		if len(res.PerDevice) != 8 {
+			t.Fatalf("%s: %d devices, want 8", res.Allocator, len(res.PerDevice))
 		}
 	}
-	if eq := byName["equal-split"]; eq.Diverging == 0 {
+	if eq := byName["equal-split"]; eq.Verdicts.Diverging == 0 {
 		t.Error("equal split must leave at least one device diverging")
-	} else if eq.PerDevice[0].Verdict != "diverging" {
-		t.Errorf("expected the heavy device 0 to diverge under equal split, rows %+v", eq.PerDevice)
+	} else if v, err := eq.Detail.Multi.PerDevice[0].Verdict(); err != nil || v != queueing.VerdictDiverging {
+		t.Errorf("expected the heavy device 0 to diverge under equal split, got %v (%v)", v, err)
 	}
 	for _, name := range []string{"proportional-backlog", "max-weight", "weighted-round-robin"} {
-		if r := byName[name]; r.Diverging != 0 {
-			t.Errorf("%s left %d devices diverging", name, r.Diverging)
+		if r, ok := byName[name]; !ok || r.Verdicts.Diverging != 0 {
+			t.Errorf("%s left %d devices diverging (row present: %v)", name, r.Verdicts.Diverging, ok)
 		}
 	}
-	// The new accounting reaches the rows: a stabilized fleet completes
+	// The frame accounting reaches the rows: a stabilized fleet completes
 	// frames with measurable sojourns.
 	if mw := byName["max-weight"]; mw.MeanSojourn <= 0 {
 		t.Errorf("max-weight fleet MeanSojourn = %v, want > 0", mw.MeanSojourn)
@@ -72,7 +116,7 @@ func TestFleetMinDemandMatchesSpecs(t *testing.T) {
 }
 
 func TestSharedUplinkFleetDelivers(t *testing.T) {
-	res, err := SharedUplink(SharedUplinkParams{
+	res, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 		Devices:  3,
 		Samples:  40_000,
 		Slots:    800,
@@ -131,13 +175,13 @@ func TestSharedUplinkAllocatorShiftsContention(t *testing.T) {
 		KneeSlot: 150,
 		Seed:     3,
 	}
-	equal, err := SharedUplink(base)
+	equal, err := SharedUplinkContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mw := base
 	mw.Allocator = alloc.NewMaxWeight()
-	shifted, err := SharedUplink(mw)
+	shifted, err := SharedUplinkContext(context.Background(), mw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +195,7 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 	// A literal-zeros Link config must be honored verbatim: no loss, no
 	// propagation delay, no jitter — inexpressible through the scalar
 	// fields, whose zeros take defaults.
-	res, err := SharedUplink(SharedUplinkParams{
+	res, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 		Devices:  2,
 		Link:     &netem.LinkConfig{},
 		Samples:  40_000,
@@ -180,7 +224,7 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 
 func TestSharedUplinkObserverTagsDevices(t *testing.T) {
 	seen := map[int]int{}
-	_, err := SharedUplink(SharedUplinkParams{
+	_, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 		Devices:  2,
 		Samples:  40_000,
 		Slots:    200,
@@ -216,7 +260,7 @@ func TestOffloadDropWindowValidation(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want ErrBadDropWindow", tc.name, err)
 		}
 		// Direct Offload calls get the same rejection, not a silent no-op.
-		if _, err := Offload(p); !errors.Is(err, ErrBadDropWindow) {
+		if _, err := OffloadContext(context.Background(), p); !errors.Is(err, ErrBadDropWindow) {
 			t.Errorf("%s: Offload = %v, want ErrBadDropWindow", tc.name, err)
 		}
 	}
@@ -244,7 +288,7 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 			}
 		}
 	}
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +317,13 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 	run := func() *SharedUplinkResult {
 		// Mean-preserving Markov around the auto-sized bandwidth: the
 		// process rates are resolved from a static reference first.
-		ref, err := SharedUplink(SharedUplinkParams{
+		ref, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 			Devices: 3, Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SharedUplink(SharedUplinkParams{
+		res, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 			Devices: 3, Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3,
 			Allocator: alloc.NewMaxWeight(),
 			BandwidthProcess: &netem.MarkovBandwidth{
@@ -313,7 +357,7 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 		}
 	}
 	// An invalid process is rejected up front.
-	if _, err := SharedUplink(SharedUplinkParams{
+	if _, err := SharedUplinkContext(context.Background(), SharedUplinkParams{
 		Devices: 2, Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3,
 		BandwidthProcess: &netem.MarkovBandwidth{GoodRate: -1},
 	}); !errors.Is(err, netem.ErrBadMarkov) {

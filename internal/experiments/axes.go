@@ -5,6 +5,7 @@ package experiments
 // generic escape hatch for knobs without a dedicated constructor.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"qarv/internal/learn"
 	"qarv/internal/netem"
 	"qarv/internal/policy"
+	"qarv/internal/quality"
 )
 
 // Axis is the generic escape hatch: a named numeric axis whose apply
@@ -49,6 +51,33 @@ func AxisV(factors ...float64) SweepAxis {
 		c.VFactor = f
 		return nil
 	}, factors...)
+}
+
+// AxisUtility sweeps the utility model pa(·): each point sets the
+// cell's utility for both control and measurement and recalibrates V
+// for it, since a model's utility units move the knee and knees must
+// stay comparable across models.
+func AxisUtility(models ...quality.UtilityModel) SweepAxis {
+	pts := make([]AxisPoint, len(models))
+	for i, m := range models {
+		m := m
+		label := "nil"
+		if m != nil {
+			label = m.Name()
+		}
+		pts[i] = AxisPoint{
+			Label: label,
+			Apply: func(c *SweepCell) error {
+				if m == nil {
+					return errors.New("experiments: utility axis point has no model")
+				}
+				c.Utility = m
+				c.RecalibrateV = true
+				return nil
+			},
+		}
+	}
+	return SweepAxis{Name: "utility", Points: pts}
 }
 
 // AxisServiceRate sweeps provisioning: each point scales the cell's base
@@ -329,8 +358,11 @@ func NetworkStatic() SweepNetwork {
 	}
 }
 
+// ErrBadVolatility reports a volatility that is NaN or outside [0, 1).
+var ErrBadVolatility = errors.New("experiments: volatility must be finite and lie in [0, 1)")
+
 // NetworkMarkov is the mean-preserving Gilbert–Elliott fading shape of
-// the NetworkSweep ablation: the good state serves at (1+v)× and the bad
+// the volatility ablation: the good state serves at (1+v)× and the bad
 // state at (1−v)× the base rate with symmetric 10-slot mean dwells, so
 // the stationary mean equals the base rate at every volatility. v must
 // lie in [0, 1).

@@ -1,26 +1,23 @@
 package experiments
 
 import (
-	"context"
-
 	"qarv/internal/delay"
 	"qarv/internal/fleet"
 	"qarv/internal/geom"
 	"qarv/internal/policy"
-	"qarv/internal/queueing"
 )
 
 // ---------------------------------------------------------------------------
-// ABL-FLEET-V — the O(1/V)/O(V) tradeoff at fleet scale
+// Fleet device classes from a calibrated scenario
 // ---------------------------------------------------------------------------
 //
-// The single-device V sweep (VSweep) shows the tradeoff on one
-// trajectory; a deployment cares about the population: what fraction of
-// ten thousand heterogeneous sessions stabilizes, and where the tail
-// backlog/latency quantiles land, as V moves. This ablation runs a fleet
-// per V point — every session drawing Poisson arrivals and a noisy
-// service rate around the calibrated scenario — and reads the answer off
-// the streaming fleet sketches instead of retained trajectories.
+// A single-device V grid (AxisV on the pool backend) shows the tradeoff
+// on one trajectory; a deployment cares about the population: what
+// fraction of ten thousand heterogeneous sessions stabilizes, and where
+// the tail backlog/latency quantiles land, as V moves. The same AxisV
+// grid on BackendFleet answers that from the streaming fleet sketches;
+// FleetProfile builds the scenario's device class for hand-assembled
+// fleet mixes.
 
 // FleetProfile builds a fleet device class from the calibrated scenario:
 // the proposed controller at vFactor × the calibrated V, one frame per
@@ -41,101 +38,4 @@ func (s *Scenario) FleetProfile(name string, weight, vFactor float64) fleet.Prof
 			return &delay.ConstantService{Rate: s.ServiceRate}
 		},
 	}
-}
-
-// FleetVSweepRow is one V point of the fleet ablation.
-type FleetVSweepRow struct {
-	VFactor float64
-	V       float64
-	// Fleet-wide aggregates (see fleet.QuantileSummary semantics).
-	MeanUtility float64
-	MeanBacklog float64
-	P95Backlog  float64
-	P99Sojourn  float64
-	Sessions    int64
-	Verdicts    fleet.VerdictCounts
-	// DeviceSlotsPerSec is the engine throughput at this point (wall
-	// clock, not deterministic).
-	DeviceSlotsPerSec float64
-}
-
-// FleetVSweep runs a stochastic fleet (Poisson arrivals, ±5% noisy
-// service around the calibrated rate) at each V factor and summarizes
-// the population: the O(V) growth shows up in the tail backlog/sojourn
-// quantiles, the O(1/V) utility gap in the fleet mean utility. Zero
-// sessions/slots take 2000 sessions × 2× the scenario horizon.
-func FleetVSweep(s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	return FleetVSweepContext(context.Background(), s, factors, sessions, slots, seed)
-}
-
-// FleetVSweepContext is FleetVSweep under a cancelable context, honored
-// inside every shard's slot loops. It is a thin wrapper over the sweep
-// engine: a one-axis AxisV grid on the fleet backend, with the
-// stochastic population (Poisson arrivals, ±5% noisy service) installed
-// by a Configure hook and every cell pinned to the caller's seed so
-// each V point replays the same population.
-func FleetVSweepContext(ctx context.Context, s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	if len(factors) == 0 {
-		factors = []float64{0.1, 0.5, 1, 2, 10}
-	}
-	if sessions <= 0 {
-		sessions = 2000
-	}
-	if slots <= 0 {
-		// As in VSweepContext: the knee (time-to-steady-state) scales
-		// with V, so the horizon must cover the largest factor's knee
-		// with settling room — otherwise still-ramping trajectories get
-		// misclassified as diverging.
-		maxFactor := 0.0
-		for _, f := range factors {
-			if f > maxFactor {
-				maxFactor = f
-			}
-		}
-		slots = 2 * s.Params.Slots
-		if scaled := int(4 * maxFactor * s.Params.KneeSlot); scaled > slots {
-			slots = scaled
-		}
-	}
-	sw, err := NewSweep(s, AxisV(factors...))
-	if err != nil {
-		return nil, err
-	}
-	sw.Backend = BackendFleet(sessions)
-	sw.Slots = slots
-	sw.Seed = seed
-	sw.Configure(func(c *SweepCell) error {
-		c.Seed = seed
-		c.ProfileName = "proposed"
-		c.NewArrivals = func(_ *SweepCell, rng *geom.RNG) queueing.ArrivalProcess {
-			return &queueing.PoissonArrivals{Mean: 1, RNG: rng}
-		}
-		c.NewService = func(_ *SweepCell, _ float64, rng *geom.RNG) delay.ServiceProcess {
-			return &delay.NoisyService{Mean: s.ServiceRate, Std: 0.05 * s.ServiceRate, RNG: rng}
-		}
-		return nil
-	})
-	rep, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FleetVSweepRow, 0, len(factors))
-	for i, f := range factors {
-		r := rep.Rows[i]
-		row := FleetVSweepRow{
-			VFactor:     f,
-			V:           s.V * f,
-			MeanUtility: r.Utility,
-			MeanBacklog: r.Backlog,
-			P95Backlog:  r.P95Backlog,
-			P99Sojourn:  r.P99Sojourn,
-			Sessions:    r.Sessions,
-			Verdicts:    r.Verdicts,
-		}
-		if r.Detail != nil && r.Detail.Fleet != nil {
-			row.DeviceSlotsPerSec = r.Detail.Fleet.DeviceSlotsPerSec
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -1,9 +1,27 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
+
+// networkGrid builds the volatility ablation: AxisNetwork over
+// mean-preserving NetworkMarkov shapes on the fleet backend, every cell
+// pinned to one seed so each volatility point replays the same
+// population.
+func networkGrid(t *testing.T, s *Scenario, volatilities []float64, sessions, slots int, seed uint64) *Sweep {
+	t.Helper()
+	nets := make([]SweepNetwork, len(volatilities))
+	for i, v := range volatilities {
+		nets[i] = NetworkMarkov(v)
+	}
+	sw := newGrid(t, s, slots, AxisNetwork(nets...))
+	sw.Backend = BackendFleet(sessions)
+	sw.Seed = seed
+	sw.Configure(func(c *SweepCell) error { c.Seed = seed; return nil })
+	return sw
+}
 
 // TestNetworkSweepMonotoneDegradation pins the acceptance property of
 // the dynamic-network subsystem: under a mean-preserving capacity
@@ -13,27 +31,25 @@ import (
 // not a statistical flake.
 func TestNetworkSweepMonotoneDegradation(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := NetworkSweep(s, []float64{0, 0.45, 0.9}, 48, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vols := []float64{0, 0.45, 0.9}
+	rows := runGrid(t, networkGrid(t, s, vols, 48, 2*s.Params.Slots, 1))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].MeanUtility > rows[i-1].MeanUtility+1e-9 {
+		if rows[i].Utility > rows[i-1].Utility+1e-9 {
 			t.Errorf("mean utility rose with volatility: %v (v=%g) -> %v (v=%g)",
-				rows[i-1].MeanUtility, rows[i-1].Volatility, rows[i].MeanUtility, rows[i].Volatility)
+				rows[i-1].Utility, vols[i-1], rows[i].Utility, vols[i])
 		}
 		if rows[i].P95Backlog < rows[i-1].P95Backlog-1e-9 {
 			t.Errorf("P95 backlog fell with volatility: %v (v=%g) -> %v (v=%g)",
-				rows[i-1].P95Backlog, rows[i-1].Volatility, rows[i].P95Backlog, rows[i].Volatility)
+				rows[i-1].P95Backlog, vols[i-1], rows[i].P95Backlog, vols[i])
 		}
 	}
 	// The spread must actually cost something, not just not-improve.
-	if rows[2].MeanUtility >= rows[0].MeanUtility {
+	if rows[2].Utility >= rows[0].Utility {
 		t.Errorf("volatility 0.9 did not degrade utility: %v vs %v at 0",
-			rows[2].MeanUtility, rows[0].MeanUtility)
+			rows[2].Utility, rows[0].Utility)
 	}
 	if rows[2].P95Backlog <= rows[0].P95Backlog {
 		t.Errorf("volatility 0.9 did not grow tail backlog: %v vs %v at 0",
@@ -44,22 +60,19 @@ func TestNetworkSweepMonotoneDegradation(t *testing.T) {
 	if rows[0].Verdicts.Diverging != 0 {
 		t.Errorf("static baseline diverging sessions: %d", rows[0].Verdicts.Diverging)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.Sessions != 48 {
-			t.Errorf("v=%g: %d sessions, want 48", r.Volatility, r.Sessions)
-		}
-		if r.GoodRate < r.BadRate {
-			t.Errorf("v=%g: good %v < bad %v", r.Volatility, r.GoodRate, r.BadRate)
+			t.Errorf("v=%g: %d sessions, want 48", vols[i], r.Sessions)
 		}
 	}
 }
 
 func TestNetworkSweepRejectsBadVolatility(t *testing.T) {
 	s := sharedScenario(t)
-	if _, err := NetworkSweep(s, []float64{0.5, 1.0}, 4, 50, 1); !errors.Is(err, ErrBadVolatility) {
-		t.Errorf("volatility 1.0: %v", err)
-	}
-	if _, err := NetworkSweep(s, []float64{-0.1}, 4, 50, 1); !errors.Is(err, ErrBadVolatility) {
-		t.Errorf("negative volatility: %v", err)
+	for _, vols := range [][]float64{{0.5, 1.0}, {-0.1}} {
+		sw := networkGrid(t, s, vols, 4, 50, 1)
+		if _, err := sw.Run(context.Background()); !errors.Is(err, ErrBadVolatility) {
+			t.Errorf("volatilities %v: %v", vols, err)
+		}
 	}
 }

@@ -263,16 +263,11 @@ func referenceBandwidth(cost *delay.PointCostModel, depths []int, fraction float
 	return bSecond + fraction*(bMax-bSecond)
 }
 
-// Offload builds the capture, measures its per-depth stream sizes, sizes
-// the uplink, calibrates V against the byte workload, and runs the
-// control loop against the emulated link.
-func Offload(params OffloadParams) (*OffloadResult, error) {
-	return OffloadContext(context.Background(), params)
-}
-
-// OffloadContext is Offload under a cancelable context: the slot loop
-// polls ctx once per queueing.PollEvery slots and aborts with the
-// context's error.
+// OffloadContext builds the capture, measures its per-depth stream
+// sizes, sizes the uplink, calibrates V against the byte workload, and
+// runs the control loop against the emulated link. The slot loop polls
+// ctx once per queueing.PollEvery slots and aborts with the context's
+// error.
 func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -18,7 +19,7 @@ func offloadParams() OffloadParams {
 }
 
 func TestOffloadStabilizesUplink(t *testing.T) {
-	res, err := Offload(offloadParams())
+	res, err := OffloadContext(context.Background(), offloadParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 }
 
 func TestOffloadBytesProfileDrivesCost(t *testing.T) {
-	res, err := Offload(offloadParams())
+	res, err := OffloadContext(context.Background(), offloadParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestOffloadBandwidthDropRecovery(t *testing.T) {
 	p.DropStart = 600
 	p.DropEnd = 1000
 	p.DropFactor = 0.5
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func meanDepthRange(depths []int, lo, hi int) float64 {
 func TestOffloadDegenerateLink(t *testing.T) {
 	p := offloadParams()
 	p.LossProb = 0.999 // not quite 1 (validation), loses essentially all
-	if _, err := Offload(p); err == nil {
+	if _, err := OffloadContext(context.Background(), p); err == nil {
 		// Statistically ~0.1% delivered; accept either outcome but a
 		// totally dead link must not panic.
 		t.Log("some frames survived the 99.9% loss link")
@@ -118,7 +119,7 @@ func TestOffloadDegenerateLink(t *testing.T) {
 func TestOffloadBadCharacter(t *testing.T) {
 	p := offloadParams()
 	p.Character = "nobody"
-	if _, err := Offload(p); err == nil {
+	if _, err := OffloadContext(context.Background(), p); err == nil {
 		t.Error("unknown character must error")
 	}
 }
@@ -153,7 +154,7 @@ func TestOffloadDynamicsValidation(t *testing.T) {
 // deterministic per seed, and the dynamics name lands in the result.
 func TestOffloadMarkovDynamics(t *testing.T) {
 	base := offloadParams()
-	static, err := Offload(base)
+	static, err := OffloadContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestOffloadMarkovDynamics(t *testing.T) {
 			BadRate:  static.Bandwidth * 0.5,
 			PGoodBad: 0.1, PBadGood: 0.1,
 		}}
-		res, err := Offload(p)
+		res, err := OffloadContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,12 +210,12 @@ func TestOffloadHandoffDynamics(t *testing.T) {
 		ScaleHi:           1.2,
 	}}
 	// Size the cell rate from a static reference run.
-	ref, err := Offload(offloadParams())
+	ref, err := OffloadContext(context.Background(), offloadParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Dynamics.Process.(*netem.HandoffBandwidth).BaseRate = ref.Bandwidth
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

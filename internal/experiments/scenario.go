@@ -163,8 +163,8 @@ func (s *Scenario) Controller() (*core.Controller, error) {
 	return s.ControllerWithV(s.V)
 }
 
-// ControllerWithV builds the proposed policy at an explicit V (used by the
-// V-sweep ablation).
+// ControllerWithV builds the proposed policy at an explicit V instead of
+// the calibrated one.
 func (s *Scenario) ControllerWithV(v float64) (*core.Controller, error) {
 	return core.New(core.Config{
 		V:       v,

@@ -1,10 +1,11 @@
 package experiments
 
-// Result-equality pins for the sweep-engine redesign: each legacy sweep
-// function is now a thin wrapper over the engine, and must reproduce the
-// pre-redesign implementation's output exactly for a fixed seed. The
-// legacy implementations are frozen here verbatim (modulo names) as the
-// reference.
+// Result-equality pins for the sweep engine: each ablation grid (the V,
+// service-rate, utility-model, volatility, fleet-V and allocator grids)
+// must reproduce the pre-engine implementation's output exactly for a
+// fixed seed. The legacy implementations are frozen here verbatim
+// (modulo names) as the reference, and each pin maps the engine's
+// SweepRows onto the legacy row shape field for field.
 
 import (
 	"context"
@@ -23,9 +24,73 @@ import (
 	"qarv/internal/sim"
 )
 
+// The legacy row shapes, kept here because the frozen references
+// produce them.
+
+type vSweepRow struct {
+	V              float64
+	TimeAvgUtility float64
+	TimeAvgBacklog float64
+	MaxBacklog     float64
+	Verdict        string
+	// BoundUtilityGap and BoundBacklog are the theoretical guarantees at
+	// this V.
+	BoundUtilityGap float64
+	BoundBacklog    float64
+}
+
+type rateSweepRow struct {
+	RateFraction   float64 // service = fraction × calibrated rate
+	TimeAvgUtility float64
+	TimeAvgBacklog float64
+	Verdict        string
+	MeanDepth      float64
+}
+
+type utilitySweepRow struct {
+	Model          string
+	TimeAvgBacklog float64
+	Verdict        string
+	MeanDepth      float64
+	KneeSlot       int
+}
+
+type networkSweepRow struct {
+	// Volatility is the capacity spread v: the good state serves at
+	// (1+v)× and the bad state at (1−v)× the calibrated rate.
+	Volatility        float64
+	GoodRate, BadRate float64
+	MeanUtility       float64
+	MeanBacklog       float64
+	P95Backlog        float64
+	P99Sojourn        float64
+	Sessions          int64
+	Verdicts          fleet.VerdictCounts
+}
+
+type fleetVSweepRow struct {
+	VFactor     float64
+	V           float64
+	MeanUtility float64
+	MeanBacklog float64
+	P95Backlog  float64
+	P99Sojourn  float64
+	Sessions    int64
+	Verdicts    fleet.VerdictCounts
+}
+
+type allocatorSweepRow struct {
+	Allocator           string
+	PerDevice           []MultiDeviceRow
+	Diverging           int
+	TotalTimeAvgBacklog float64
+	MeanTimeAvgUtility  float64
+	MeanSojourn         float64
+}
+
 // legacyVSweep is the pre-engine VSweepContext, frozen.
-func legacyVSweep(ctx context.Context, s *Scenario, factors []float64, slots int) ([]VSweepRow, error) {
-	rows := make([]VSweepRow, 0, len(factors))
+func legacyVSweep(ctx context.Context, s *Scenario, factors []float64, slots int) ([]vSweepRow, error) {
+	rows := make([]vSweepRow, 0, len(factors))
 	for _, f := range factors {
 		v := s.V * f
 		ctrl, err := s.ControllerWithV(v)
@@ -42,7 +107,7 @@ func legacyVSweep(ctx context.Context, s *Scenario, factors []float64, slots int
 		if err != nil {
 			return nil, err
 		}
-		row := VSweepRow{
+		row := vSweepRow{
 			V:              v,
 			TimeAvgUtility: res.TimeAvgUtility,
 			TimeAvgBacklog: res.TimeAvgBacklog,
@@ -59,12 +124,12 @@ func legacyVSweep(ctx context.Context, s *Scenario, factors []float64, slots int
 }
 
 // legacyRateSweep is the pre-engine RateSweepContext, frozen.
-func legacyRateSweep(ctx context.Context, s *Scenario, fractions []float64, slots int) ([]RateSweepRow, error) {
+func legacyRateSweep(ctx context.Context, s *Scenario, fractions []float64, slots int) ([]rateSweepRow, error) {
 	ctrl, err := s.Controller()
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]RateSweepRow, 0, len(fractions))
+	rows := make([]rateSweepRow, 0, len(fractions))
 	for _, f := range fractions {
 		cfg := s.SimConfig(ctrl)
 		cfg.Service = &delay.ConstantService{Rate: s.ServiceRate * f}
@@ -81,7 +146,7 @@ func legacyRateSweep(ctx context.Context, s *Scenario, fractions []float64, slot
 		for _, d := range res.Depth {
 			depthSum += float64(d)
 		}
-		rows = append(rows, RateSweepRow{
+		rows = append(rows, rateSweepRow{
 			RateFraction:   f,
 			TimeAvgUtility: res.TimeAvgUtility,
 			TimeAvgBacklog: res.TimeAvgBacklog,
@@ -93,9 +158,8 @@ func legacyRateSweep(ctx context.Context, s *Scenario, fractions []float64, slot
 }
 
 // legacyUtilitySweep is the pre-engine UtilitySweepContext, frozen.
-func legacyUtilitySweep(ctx context.Context, s *Scenario, slots int) ([]UtilitySweepRow, error) {
-	models := legacyUtilityModels(s)
-	rows := make([]UtilitySweepRow, 0, len(models))
+func legacyUtilitySweep(ctx context.Context, s *Scenario, models []quality.UtilityModel, slots int) ([]utilitySweepRow, error) {
+	rows := make([]utilitySweepRow, 0, len(models))
 	for _, m := range models {
 		cfg := core.Config{Depths: s.Params.Depths, Utility: m, Cost: s.Cost}
 		v, err := core.CalibrateV(s.Params.KneeSlot, s.ServiceRate, cfg)
@@ -133,7 +197,7 @@ func legacyUtilitySweep(ctx context.Context, s *Scenario, slots int) ([]UtilityS
 				break
 			}
 		}
-		rows = append(rows, UtilitySweepRow{
+		rows = append(rows, utilitySweepRow{
 			Model:          m.Name(),
 			TimeAvgBacklog: res.TimeAvgBacklog,
 			Verdict:        verdict.String(),
@@ -144,24 +208,10 @@ func legacyUtilitySweep(ctx context.Context, s *Scenario, slots int) ([]UtilityS
 	return rows, nil
 }
 
-// legacyUtilityModels mirrors the wrapper's model list so both sides
-// sweep identical models.
-func legacyUtilityModels(s *Scenario) []quality.UtilityModel {
-	models := []quality.UtilityModel{}
-	if logU, err := quality.NewLogPointUtility(s.Profile); err == nil {
-		models = append(models, logU)
-	}
-	if normU, err := quality.NewNormalizedPointUtility(s.Profile); err == nil {
-		models = append(models, normU)
-	}
-	models = append(models, &quality.LinearDepthUtility{MaxDepth: s.Params.CaptureDepth})
-	return models
-}
-
 // legacyNetworkSweep is the pre-engine NetworkSweepContext, frozen.
-func legacyNetworkSweep(ctx context.Context, s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]NetworkSweepRow, error) {
+func legacyNetworkSweep(ctx context.Context, s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]networkSweepRow, error) {
 	rate := s.ServiceRate
-	rows := make([]NetworkSweepRow, 0, len(volatilities))
+	rows := make([]networkSweepRow, 0, len(volatilities))
 	for _, v := range volatilities {
 		if v < 0 || v >= 1 {
 			return nil, fmt.Errorf("%w: %v", ErrBadVolatility, v)
@@ -184,7 +234,7 @@ func legacyNetworkSweep(ctx context.Context, s *Scenario, volatilities []float64
 		if err != nil {
 			return nil, fmt.Errorf("volatility %g: %w", v, err)
 		}
-		rows = append(rows, NetworkSweepRow{
+		rows = append(rows, networkSweepRow{
 			Volatility:  v,
 			GoodRate:    good,
 			BadRate:     bad,
@@ -200,8 +250,8 @@ func legacyNetworkSweep(ctx context.Context, s *Scenario, volatilities []float64
 }
 
 // legacyFleetVSweep is the pre-engine FleetVSweepContext, frozen.
-func legacyFleetVSweep(ctx context.Context, s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	rows := make([]FleetVSweepRow, 0, len(factors))
+func legacyFleetVSweep(ctx context.Context, s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]fleetVSweepRow, error) {
+	rows := make([]fleetVSweepRow, 0, len(factors))
 	for _, f := range factors {
 		prof := s.FleetProfile("proposed", 1, f)
 		prof.NewArrivals = func(rng *geom.RNG) queueing.ArrivalProcess {
@@ -219,24 +269,23 @@ func legacyFleetVSweep(ctx context.Context, s *Scenario, factors []float64, sess
 		if err != nil {
 			return nil, fmt.Errorf("V=%gx: %w", f, err)
 		}
-		rows = append(rows, FleetVSweepRow{
-			VFactor:           f,
-			V:                 s.V * f,
-			MeanUtility:       rep.Total.Utility.Mean,
-			MeanBacklog:       rep.Total.Backlog.Mean,
-			P95Backlog:        rep.Total.Backlog.P95,
-			P99Sojourn:        rep.Total.Sojourn.P99,
-			Sessions:          rep.Total.Sessions,
-			Verdicts:          rep.Total.Verdicts,
-			DeviceSlotsPerSec: rep.DeviceSlotsPerSec,
+		rows = append(rows, fleetVSweepRow{
+			VFactor:     f,
+			V:           s.V * f,
+			MeanUtility: rep.Total.Utility.Mean,
+			MeanBacklog: rep.Total.Backlog.Mean,
+			P95Backlog:  rep.Total.Backlog.P95,
+			P99Sojourn:  rep.Total.Sojourn.P99,
+			Sessions:    rep.Total.Sessions,
+			Verdicts:    rep.Total.Verdicts,
 		})
 	}
 	return rows, nil
 }
 
 // legacyAllocatorSweep is the pre-engine AllocatorSweepContext, frozen.
-func legacyAllocatorSweep(ctx context.Context, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []alloc.Allocator) ([]AllocatorSweepRow, error) {
-	rows := make([]AllocatorSweepRow, 0, len(allocators))
+func legacyAllocatorSweep(ctx context.Context, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []alloc.Allocator) ([]allocatorSweepRow, error) {
+	rows := make([]allocatorSweepRow, 0, len(allocators))
 	for _, a := range allocators {
 		devices, err := fleetDevices(s, specs)
 		if err != nil {
@@ -251,7 +300,7 @@ func legacyAllocatorSweep(ctx context.Context, s *Scenario, specs []AllocDeviceS
 		if err != nil {
 			return nil, fmt.Errorf("allocator %s: %w", a.Name(), err)
 		}
-		row := AllocatorSweepRow{
+		row := allocatorSweepRow{
 			Allocator:           res.Allocator,
 			PerDevice:           make([]MultiDeviceRow, len(res.PerDevice)),
 			TotalTimeAvgBacklog: res.TotalTimeAvgBacklog,
@@ -290,86 +339,135 @@ func legacyAllocatorSweep(ctx context.Context, s *Scenario, specs []AllocDeviceS
 func TestVSweepPinnedToLegacy(t *testing.T) {
 	s := sharedScenario(t)
 	factors := []float64{0.5, 2}
-	got, err := VSweepContext(context.Background(), s, factors, 400)
-	if err != nil {
-		t.Fatal(err)
+	rows := runGrid(t, newGrid(t, s, 400, AxisV(factors...)))
+	got := make([]vSweepRow, len(rows))
+	for i, r := range rows {
+		v := s.V * factors[i]
+		got[i] = vSweepRow{
+			V:              v,
+			TimeAvgUtility: r.Utility,
+			TimeAvgBacklog: r.Backlog,
+			MaxBacklog:     r.MaxBacklog,
+			Verdict:        r.Verdict,
+		}
+		// The bound columns come from the same call the ablation table
+		// makes per row.
+		ctrl, err := s.ControllerWithV(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ctrl.TheoreticalBounds(s.ServiceRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i].BoundUtilityGap, got[i].BoundBacklog = b.UtilityGap, b.BacklogBound
 	}
 	want, err := legacyVSweep(context.Background(), s, factors, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("VSweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("V grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestRateSweepPinnedToLegacy(t *testing.T) {
 	s := sharedScenario(t)
 	fractions := []float64{0.8, 1.1}
-	got, err := RateSweepContext(context.Background(), s, fractions, 400)
-	if err != nil {
-		t.Fatal(err)
+	rows := runGrid(t, newGrid(t, s, 400, AxisServiceRate(fractions...)))
+	got := make([]rateSweepRow, len(rows))
+	for i, r := range rows {
+		got[i] = rateSweepRow{
+			RateFraction:   fractions[i],
+			TimeAvgUtility: r.Utility,
+			TimeAvgBacklog: r.Backlog,
+			Verdict:        r.Verdict,
+			MeanDepth:      r.MeanDepth,
+		}
 	}
 	want, err := legacyRateSweep(context.Background(), s, fractions, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RateSweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("rate grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestUtilitySweepPinnedToLegacy(t *testing.T) {
 	s := sharedScenario(t)
-	got, err := UtilitySweepContext(context.Background(), s, 400)
-	if err != nil {
-		t.Fatal(err)
+	models := ablationUtilityModels(t, s)
+	rows := runGrid(t, newGrid(t, s, 400, AxisUtility(models...)))
+	got := make([]utilitySweepRow, len(rows))
+	for i, r := range rows {
+		got[i] = utilitySweepRow{
+			Model:          models[i].Name(),
+			TimeAvgBacklog: r.Backlog,
+			Verdict:        r.Verdict,
+			MeanDepth:      r.MeanDepth,
+			KneeSlot:       r.KneeSlot,
+		}
 	}
-	want, err := legacyUtilitySweep(context.Background(), s, 400)
+	want, err := legacyUtilitySweep(context.Background(), s, models, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UtilitySweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("utility grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestNetworkSweepPinnedToLegacy(t *testing.T) {
 	s := sharedScenario(t)
 	vols := []float64{0, 0.6}
-	got, err := NetworkSweepContext(context.Background(), s, vols, 16, 100, 5)
-	if err != nil {
-		t.Fatal(err)
+	rows := runGrid(t, networkGrid(t, s, vols, 16, 100, 5))
+	got := make([]networkSweepRow, len(rows))
+	for i, r := range rows {
+		v := vols[i]
+		got[i] = networkSweepRow{
+			Volatility:  v,
+			GoodRate:    s.ServiceRate * (1 + v),
+			BadRate:     s.ServiceRate * (1 - v),
+			MeanUtility: r.Utility,
+			MeanBacklog: r.Backlog,
+			P95Backlog:  r.P95Backlog,
+			P99Sojourn:  r.P99Sojourn,
+			Sessions:    r.Sessions,
+			Verdicts:    r.Verdicts,
+		}
 	}
 	want, err := legacyNetworkSweep(context.Background(), s, vols, 16, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NetworkSweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("volatility grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestFleetVSweepPinnedToLegacy(t *testing.T) {
 	s := sharedScenario(t)
 	factors := []float64{0.5, 2}
-	got, err := FleetVSweepContext(context.Background(), s, factors, 16, 100, 5)
-	if err != nil {
-		t.Fatal(err)
+	rows := runGrid(t, fleetVGrid(t, s, factors, 16, 100, 5))
+	got := make([]fleetVSweepRow, len(rows))
+	for i, r := range rows {
+		got[i] = fleetVSweepRow{
+			VFactor:     factors[i],
+			V:           s.V * factors[i],
+			MeanUtility: r.Utility,
+			MeanBacklog: r.Backlog,
+			P95Backlog:  r.P95Backlog,
+			P99Sojourn:  r.P99Sojourn,
+			Sessions:    r.Sessions,
+			Verdicts:    r.Verdicts,
+		}
 	}
 	want, err := legacyFleetVSweep(context.Background(), s, factors, 16, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DeviceSlotsPerSec is wall clock, not deterministic.
-	for i := range got {
-		got[i].DeviceSlotsPerSec = 0
-	}
-	for i := range want {
-		want[i].DeviceSlotsPerSec = 0
-	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FleetVSweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("fleet V grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -384,9 +482,31 @@ func TestAllocatorSweepPinnedToLegacy(t *testing.T) {
 			alloc.NewMaxWeight(),
 		}
 	}
-	got, err := AllocatorSweepContext(context.Background(), s, specs, budget, 200, allocators())
-	if err != nil {
-		t.Fatal(err)
+	rows := runGrid(t, allocatorGrid(t, s, specs, budget, 200, allocators()))
+	got := make([]allocatorSweepRow, len(rows))
+	for i, r := range rows {
+		res := r.Detail.Multi
+		got[i] = allocatorSweepRow{
+			Allocator:           res.Allocator,
+			PerDevice:           make([]MultiDeviceRow, len(res.PerDevice)),
+			Diverging:           int(r.Verdicts.Diverging),
+			TotalTimeAvgBacklog: r.Backlog,
+			MeanTimeAvgUtility:  r.Utility,
+			MeanSojourn:         r.MeanSojourn,
+		}
+		for d, dr := range res.PerDevice {
+			verdict, err := dr.Verdict()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i].PerDevice[d] = MultiDeviceRow{
+				Device:         d,
+				TimeAvgUtility: dr.TimeAvgUtility,
+				TimeAvgBacklog: dr.TimeAvgBacklog,
+				Verdict:        verdict.String(),
+				MeanSojourn:    dr.MeanSojourn,
+			}
+		}
 	}
 	// Fresh instances for the reference run: stateful allocators must
 	// not carry state between the two sweeps.
@@ -395,6 +515,6 @@ func TestAllocatorSweepPinnedToLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AllocatorSweep diverged from legacy:\n got %+v\nwant %+v", got, want)
+		t.Errorf("allocator grid diverged from legacy:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -66,10 +66,10 @@
 //	rep, _ := sw.Run(ctx)    // one SweepRow per cell, grid order
 //	tab, _ := rep.Table()    // trace.Table → CSV/JSON/ASCII
 //
-// The classic ablations (VSweep, RateSweep, UtilitySweep, NetworkSweep,
-// AllocatorSweep, FleetVSweep) are thin wrappers over this engine; see
-// cmd/qarvsweep for grids from the command line and MIGRATION.md for
-// the mapping.
+// The ablations (V, service rate, utility model, network volatility,
+// allocator, fleet V) are grids on this engine; see cmd/qarvsweep for
+// grids from the command line and MIGRATION.md for how each former
+// sweep function maps onto a grid.
 //
 // # Building blocks
 //
@@ -81,6 +81,7 @@
 package qarv
 
 import (
+	"context"
 	"io"
 
 	"qarv/internal/alloc"
@@ -445,12 +446,6 @@ type (
 	// AllocDeviceSpec shapes one device of a heterogeneous fleet
 	// (arrival rate and cost scale) in the allocator ablation.
 	AllocDeviceSpec = experiments.AllocDeviceSpec
-	// AllocatorSweepRow summarizes one allocator's run over the fleet.
-	AllocatorSweepRow = experiments.AllocatorSweepRow
-	// FleetVSweepRow is one V point of the fleet-scale V ablation.
-	FleetVSweepRow = experiments.FleetVSweepRow
-	// MultiDeviceRow summarizes one device of a shared-service run.
-	MultiDeviceRow = experiments.MultiDeviceRow
 	// Link is a FIFO uplink with bandwidth/latency/jitter/loss.
 	Link = netem.Link
 	// LinkConfig parameterizes NewLink.
@@ -478,9 +473,6 @@ type (
 	// HandoffBandwidth models mobility: exponential cell dwells, an
 	// outage gap per handoff, and a uniform new-cell capacity scale.
 	HandoffBandwidth = netem.HandoffBandwidth
-	// NetworkSweepRow is one volatility point of the dynamic-network
-	// ablation.
-	NetworkSweepRow = experiments.NetworkSweepRow
 	// Table is an exportable set of time series (CSV/JSON/ASCII chart).
 	Table = trace.Table
 )
@@ -522,42 +514,16 @@ func DefaultDiurnalTrace() *TraceBandwidth { return netem.DefaultDiurnalTrace() 
 // captures and hand-written factor patterns both modulate sensibly.
 func LoadFactorTrace(path string) (*TraceBandwidth, error) { return netem.LoadFactorTrace(path) }
 
-// NetworkSweep runs the dynamic-network ablation: a fleet per
-// volatility point, every session drawing its capacity from a
-// mean-preserving Markov (good/bad) chain around the calibrated service
-// rate. Mean utility degrades and tail backlog grows monotonically as
-// volatility rises. Zero sessions/slots take defaults.
-func NetworkSweep(s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]NetworkSweepRow, error) {
-	return experiments.NetworkSweep(s, volatilities, sessions, slots, seed)
-}
-
 // SharedUplink runs N devices against one emulated uplink, its
 // serialization bandwidth split per slot by params.Allocator and its
 // propagation leg (latency, jitter, loss) applied to every delivery.
 func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
-	return experiments.SharedUplink(params)
-}
-
-// AllocatorSweep runs the same heterogeneous fleet under each allocator
-// and reports per-device stability — the ablation showing the shared
-// budget's split policy is itself the lever. Zero-value
-// specs/budget/slots/allocators take defaults (see HeterogeneousSpecs).
-func AllocatorSweep(s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []Allocator) ([]AllocatorSweepRow, error) {
-	return experiments.AllocatorSweep(s, specs, budget, slots, allocators)
+	return experiments.SharedUplinkContext(context.Background(), params)
 }
 
 // HeterogeneousSpecs returns the canonical mixed fleet of the allocator
 // ablation: one heavy device among n−1 light ones.
 func HeterogeneousSpecs(n int) []AllocDeviceSpec { return experiments.HeterogeneousSpecs(n) }
-
-// FleetVSweep runs the O(1/V)/O(V) ablation at fleet scale: a stochastic
-// population (Poisson arrivals, noisy service) per V point, summarized
-// through the fleet engine's streaming quantile sketches. Zero
-// sessions/slots take defaults; see Scenario.FleetProfile to build
-// custom fleet mixes from a calibrated scenario.
-func FleetVSweep(s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	return experiments.FleetVSweep(s, factors, sessions, slots, seed)
-}
 
 type (
 	// RenderConfig controls a software splat render pass.

@@ -1,10 +1,6 @@
 package qarv
 
-import (
-	"context"
-
-	"qarv/internal/experiments"
-)
+import "qarv/internal/experiments"
 
 // ---------------------------------------------------------------------------
 // Declarative sweeps (one experiment engine over sessions and fleets)
@@ -155,25 +151,3 @@ func NetworkHandoff() SweepNetwork { return experiments.NetworkHandoff() }
 // NetworkTraceShape replays a factor trace over the base capacity
 // (clone-per-run, so concurrent cells never share replay state).
 func NetworkTraceShape(tb *TraceBandwidth) SweepNetwork { return experiments.NetworkTrace(tb) }
-
-// ---------------------------------------------------------------------------
-// Context parity for the legacy sweep entry points
-// ---------------------------------------------------------------------------
-
-// NetworkSweepContext is NetworkSweep under a cancelable context,
-// honored inside every shard's slot loops — no public sweep is
-// uncancellable.
-func NetworkSweepContext(ctx context.Context, s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]NetworkSweepRow, error) {
-	return experiments.NetworkSweepContext(ctx, s, volatilities, sessions, slots, seed)
-}
-
-// AllocatorSweepContext is AllocatorSweep under a cancelable context.
-func AllocatorSweepContext(ctx context.Context, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []Allocator) ([]AllocatorSweepRow, error) {
-	return experiments.AllocatorSweepContext(ctx, s, specs, budget, slots, allocators)
-}
-
-// FleetVSweepContext is FleetVSweep under a cancelable context, honored
-// inside every shard's slot loops.
-func FleetVSweepContext(ctx context.Context, s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	return experiments.FleetVSweepContext(ctx, s, factors, sessions, slots, seed)
-}
