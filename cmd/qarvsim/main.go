@@ -174,7 +174,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "final backlog     %.0f\n", res.FinalBacklog)
 	fmt.Fprintf(out, "max backlog       %.0f\n", res.MaxBacklog)
 	fmt.Fprintf(out, "frames completed  %d (mean sojourn %.2f slots)\n",
-		len(res.Completed), res.MeanSojourn)
+		res.Sojourns.Total, res.MeanSojourn)
 	hist := res.DepthHistogram()
 	fmt.Fprint(out, "depth histogram   ")
 	for _, d := range scn.Params.Depths {
@@ -267,7 +267,7 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 			return err
 		}
 		fmt.Fprintf(out, "%6d  %-10s  %11.0f  %9d  %12.2f\n",
-			i, verdict, r.TimeAvgBacklog, len(r.Completed), r.MeanSojourn)
+			i, verdict, r.TimeAvgBacklog, r.Sojourns.Total, r.MeanSojourn)
 	}
 	if chart {
 		tab := trace.NewTable("Time step", len(res.PerDevice[0].Backlog))

@@ -131,6 +131,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), simArgs("-knee", "NaN"), &bytes.Buffer{}); err == nil {
 		t.Error("-knee NaN must error")
 	}
+	// A horizon beyond sim.MaxSlots is an error, not a makeslice panic.
+	const huge = "9223372036854775807"
+	if err := run(context.Background(), simArgs("-slots", huge), &bytes.Buffer{}); err == nil {
+		t.Error("-slots beyond sim.MaxSlots must error")
+	}
+	if err := run(context.Background(), simArgs("-devices", "2", "-alloc", "maxweight", "-slots", huge), &bytes.Buffer{}); err == nil {
+		t.Error("multi-device -slots beyond sim.MaxSlots must error")
+	}
 }
 
 func TestRunNetworkDynamics(t *testing.T) {

@@ -142,6 +142,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:NaN"},
 		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:0.5:NaN"},
 		{"-samples", "30000", "-slots", "50", "-axis", "net=markov:0.5:Inf"},
+		{"-samples", "30000", "-slots", "9223372036854775807", "-axis", "v=1,2"},
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v: expected error", args)

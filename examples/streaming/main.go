@@ -88,19 +88,11 @@ func run() error {
 	fmt.Printf("session verdict        %s\n", rep.Verdict)
 	fmt.Printf("worst throttled queue  %.0f work units\n", worstThrottled)
 	fmt.Printf("time-avg utility       %.3f\n", res.TimeAvgUtility)
-	fmt.Printf("frames completed       %d\n", len(res.Completed))
+	fmt.Printf("frames completed       %d\n", res.Sojourns.Total)
 	fmt.Printf("mean frame latency     %.2f slots\n", res.MeanSojourn)
 
-	// Latency distribution.
-	var p95 float64
-	if len(res.Completed) > 0 {
-		lat := make([]int, len(res.Completed))
-		for i, c := range res.Completed {
-			lat[i] = c.Sojourn
-		}
-		p95 = percentileInt(lat, 0.95)
-	}
-	fmt.Printf("p95 frame latency      %.0f slots\n", p95)
+	// Latency distribution: Sojourns.Counts[s] frames waited s slots.
+	fmt.Printf("p95 frame latency      %.0f slots\n", percentileInt(res.Sojourns.Counts, 0.95))
 
 	// How the controller responded to the throttling window.
 	fmt.Printf("mean depth normal      %.2f\n", meanDepth(res.Depth[400:1200]))
@@ -124,18 +116,22 @@ func meanDepth(depths []int) float64 {
 	return s / float64(len(depths))
 }
 
-func percentileInt(xs []int, p float64) float64 {
-	if len(xs) == 0 {
+// percentileInt returns the nearest-rank p-quantile (p in [0,1]) of the
+// samples a histogram describes: counts[v] samples have value v.
+func percentileInt(counts []int64, p float64) float64 {
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	if n == 0 {
 		return 0
 	}
-	// Insertion sort is fine at example scale.
-	sorted := make([]int, len(xs))
-	copy(sorted, xs)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	k := int64(p * float64(n-1)) // 0-based rank of the answer
+	for v, c := range counts {
+		if k < c {
+			return float64(v)
 		}
+		k -= c
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx])
+	return float64(len(counts) - 1)
 }

@@ -15,6 +15,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -138,8 +139,17 @@ func (a *MaxWeight) Allocate(_ int, budget float64, backlogs, shares []float64) 
 		idx[i] = i
 	}
 	// Descending backlog, ties broken by device index for determinism.
-	sort.SliceStable(idx, func(x, y int) bool {
-		return backlogs[idx[x]] > backlogs[idx[y]]
+	// SortStableFunc runs the same insertion-plus-symMerge algorithm as
+	// sort.SliceStable and only tests cmp < 0, so the order is the one
+	// a `>` less function gives (NaN included) — without allocating.
+	slices.SortStableFunc(idx, func(x, y int) int {
+		switch {
+		case backlogs[x] > backlogs[y]:
+			return -1
+		case backlogs[x] < backlogs[y]:
+			return 1
+		}
+		return 0
 	})
 	remaining := budget
 	for i := range shares {

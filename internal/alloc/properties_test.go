@@ -11,6 +11,7 @@ package alloc_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"qarv/internal/alloc"
@@ -84,6 +85,75 @@ func TestEveryByNameAllocatorConservesBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaxWeightAllocationFree: MaxWeight runs inside every multi-device
+// slot, so once its scratch index has grown it must not allocate.
+func TestMaxWeightAllocationFree(t *testing.T) {
+	a := alloc.NewMaxWeight()
+	backlogs := []float64{3, 9, 0, 9, 1, 7, 7, 2}
+	shares := make([]float64, len(backlogs))
+	a.Allocate(0, 20, backlogs, shares)
+	if n := testing.AllocsPerRun(100, func() { a.Allocate(1, 20, backlogs, shares) }); n != 0 {
+		t.Errorf("MaxWeight.Allocate: %v allocs per call, want 0", n)
+	}
+}
+
+// TestMaxWeightOrderMatchesSliceStable: the service order equals the one
+// sort.SliceStable gives with a `>` less function, ties and NaN
+// backlogs included, so every share is bit-identical to it.
+func TestMaxWeightOrderMatchesSliceStable(t *testing.T) {
+	rng := geom.NewRNG(5)
+	a := alloc.NewMaxWeight()
+	for round := 0; round < 500; round++ {
+		n := 1 + rng.Intn(40)
+		backlogs := make([]float64, n)
+		for i := range backlogs {
+			switch rng.Intn(6) {
+			case 0:
+				backlogs[i] = math.NaN()
+			case 1:
+				backlogs[i] = 0
+			default:
+				backlogs[i] = float64(rng.Intn(8))
+			}
+		}
+		budget := 30 * rng.Float64()
+		got := make([]float64, n)
+		a.Allocate(round, budget, backlogs, got)
+
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(x, y int) bool { return backlogs[idx[x]] > backlogs[idx[y]] })
+		want := make([]float64, n)
+		remaining := budget
+		for _, i := range idx {
+			if remaining <= 0 {
+				break
+			}
+			g := backlogs[i]
+			if g < 0 {
+				g = 0
+			}
+			if g > remaining {
+				g = remaining
+			}
+			want[i] = g
+			remaining -= g
+		}
+		if remaining > 0 {
+			for i := range want {
+				want[i] += remaining / float64(n)
+			}
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d device %d: share %v, want %v (backlogs %v)", round, i, got[i], want[i], backlogs)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"qarv/internal/alloc"
 	"qarv/internal/core"
@@ -351,20 +350,10 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		}
 		service = bandwidthService{proc}
 	}
-	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
-		Devices:   devices,
-		Service:   service,
-		Allocator: p.Allocator,
-		Slots:     p.Slots,
-		Observer:  p.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	// Propagation leg: one netem.Link shared by the fleet. Completions
 	// cross it in serialization order (completion slot, then device
-	// index) so loss and jitter draws are deterministic.
+	// index, then FIFO), the order OnFrame delivers them in, so loss
+	// and jitter draws are deterministic.
 	linkCfg := netem.LinkConfig{
 		BytesPerSlot: bandwidth,
 		LatencySlots: p.LatencySlots,
@@ -385,45 +374,39 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	if err != nil {
 		return nil, err
 	}
-	type completion struct {
-		device int
-		frame  queueing.Completed
-	}
-	var order []completion
-	for i, r := range multi.PerDevice {
-		for _, c := range r.Completed {
-			order = append(order, completion{device: i, frame: c})
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].frame.CompletedAt != order[b].frame.CompletedAt {
-			return order[a].frame.CompletedAt < order[b].frame.CompletedAt
-		}
-		return order[a].device < order[b].device
-	})
 
 	res := &SharedUplinkResult{
 		Params:    p,
-		Allocator: multi.Allocator,
 		Bandwidth: bandwidth,
 		Bytes:     bytesProfile,
-		Multi:     multi,
 		PerDevice: make([]SharedUplinkDeviceRow, n),
 	}
 	perDeviceLat := make([]stats.Running, n)
 	var allLat []float64
-	for _, c := range order {
-		deliveredSlot, lost := link.Deliver(c.frame.Work, float64(c.frame.CompletedAt))
-		if lost {
-			res.LossCount++
-			res.PerDevice[c.device].Lost++
-			continue
-		}
-		lat := deliveredSlot - float64(c.frame.EnqueuedAt)
-		perDeviceLat[c.device].Add(lat)
-		allLat = append(allLat, lat)
-		res.PerDevice[c.device].Delivered++
+	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
+		Devices:   devices,
+		Service:   service,
+		Allocator: p.Allocator,
+		Slots:     p.Slots,
+		Observer:  p.Observer,
+		OnFrame: func(device int, c queueing.Completed) {
+			deliveredSlot, lost := link.Deliver(c.Work, float64(c.CompletedAt))
+			if lost {
+				res.LossCount++
+				res.PerDevice[device].Lost++
+				return
+			}
+			lat := deliveredSlot - float64(c.EnqueuedAt)
+			perDeviceLat[device].Add(lat)
+			allLat = append(allLat, lat)
+			res.PerDevice[device].Delivered++
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Allocator = multi.Allocator
+	res.Multi = multi
 	for i, r := range multi.PerDevice {
 		verdict, err := r.Verdict()
 		if err != nil {

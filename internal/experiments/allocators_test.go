@@ -142,7 +142,7 @@ func TestSharedUplinkFleetDelivers(t *testing.T) {
 			t.Errorf("device %d delivered nothing", i)
 		}
 		delivered += row.Delivered
-		completed += len(res.Multi.PerDevice[i].Completed)
+		completed += int(res.Multi.PerDevice[i].Sojourns.Total)
 	}
 	// Every frame that finished serializing either delivered or was lost
 	// on the propagation leg; the remainder is still queued at the end.
@@ -211,7 +211,7 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 	}
 	completed := 0
 	for _, r := range res.Multi.PerDevice {
-		completed += len(r.Completed)
+		completed += int(r.Sojourns.Total)
 	}
 	delivered := 0
 	for _, row := range res.PerDevice {

@@ -148,6 +148,9 @@ func (p OffloadParams) Validate() error {
 	if _, err := synthetic.ByName(d.Character); err != nil {
 		return err
 	}
+	if d.Slots > sim.MaxSlots { // BacklogBytes and the series are sized by Slots
+		return fmt.Errorf("%w: %d", sim.ErrBadSlots, d.Slots)
+	}
 	for _, dep := range d.Depths {
 		if dep > d.CaptureDepth {
 			return fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, dep, d.CaptureDepth)

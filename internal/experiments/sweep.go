@@ -621,7 +621,7 @@ func runSimCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, error)
 		Detail:      &SweepCellResult{Sim: res},
 	}
 	row.P95Backlog = percentileOrZero(res.Backlog, 95)
-	fillSojournQuantiles(row, res.Completed)
+	fillSojourns(row, &res.Sojourns)
 	row.MeanDepth, row.KneeSlot = depthSummary(res.Depth)
 	if v, err := res.Verdict(); err == nil {
 		row.Verdict = v.String()
@@ -691,7 +691,7 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 		KneeSlot:  -1,
 		Detail:    &SweepCellResult{Multi: res},
 	}
-	var sojourns []float64
+	var sojourns queueing.SojournHistogram
 	var sum []float64
 	for _, r := range res.PerDevice {
 		if sum == nil {
@@ -700,9 +700,7 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 		for t, q := range r.Backlog {
 			sum[t] += q
 		}
-		for _, fr := range r.Completed {
-			sojourns = append(sojourns, float64(fr.Sojourn))
-		}
+		sojourns.Merge(&r.Sojourns)
 		if v, err := r.Verdict(); err == nil {
 			countVerdict(&row.Verdicts, v)
 		} else {
@@ -717,7 +715,7 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 		}
 	}
 	row.P95Backlog = percentileOrZero(sum, 95)
-	fillSojournSlice(row, sojourns)
+	fillSojourns(row, &sojourns)
 	if v, err := queueing.ClassifyTrajectory(sum, 0); err == nil {
 		row.Verdict = v.String()
 	}
@@ -782,26 +780,14 @@ func percentileOrZero(xs []float64, p float64) float64 {
 	return v
 }
 
-// fillSojournQuantiles summarizes completed-frame sojourns into the row.
-func fillSojournQuantiles(row *SweepRow, completed []queueing.Completed) {
-	sojourns := make([]float64, 0, len(completed))
-	for _, c := range completed {
-		sojourns = append(sojourns, float64(c.Sojourn))
-	}
-	fillSojournSlice(row, sojourns)
-}
-
-func fillSojournSlice(row *SweepRow, sojourns []float64) {
-	if len(sojourns) == 0 {
+// fillSojourns summarizes completed-frame sojourns into the row.
+func fillSojourns(row *SweepRow, h *queueing.SojournHistogram) {
+	if h.Total == 0 {
 		return
 	}
-	var sum float64
-	for _, s := range sojourns {
-		sum += s
-	}
-	row.MeanSojourn = sum / float64(len(sojourns))
-	row.P95Sojourn = percentileOrZero(sojourns, 95)
-	row.P99Sojourn = percentileOrZero(sojourns, 99)
+	row.MeanSojourn = h.Mean()
+	row.P95Sojourn, _ = h.Percentile(95) // cannot fail: non-empty, p in range
+	row.P99Sojourn, _ = h.Percentile(99)
 }
 
 // depthSummary computes the mean chosen depth and the knee slot (the

@@ -323,10 +323,8 @@ func legacyAllocatorSweep(ctx context.Context, s *Scenario, specs []AllocDeviceS
 				Verdict:        verdict.String(),
 				MeanSojourn:    r.MeanSojourn,
 			}
-			for _, c := range r.Completed {
-				sojournSum += float64(c.Sojourn)
-			}
-			completed += len(r.Completed)
+			sojournSum += float64(r.Sojourns.Sum)
+			completed += int(r.Sojourns.Total)
 		}
 		if completed > 0 {
 			row.MeanSojourn = sojournSum / float64(completed)

@@ -126,13 +126,16 @@ func TestFleetMatchesSessionRuns(t *testing.T) {
 			t.Fatalf("seat %d: %v", seat, err)
 		}
 		res := srep.Sim
-		framesCompleted += int64(len(res.Completed))
-		for _, c := range res.Completed {
-			s := float64(c.Sojourn)
-			sojourns = append(sojourns, s)
-			if s > maxSojourn {
-				maxSojourn = s
+		framesCompleted += res.Sojourns.Total
+		for v, n := range res.Sojourns.Counts {
+			if n == 0 {
+				continue
 			}
+			s := float64(v)
+			for i := int64(0); i < n; i++ {
+				sojourns = append(sojourns, s)
+			}
+			maxSojourn = max(maxSojourn, s)
 		}
 		for _, q := range res.Backlog {
 			backlogSum += q

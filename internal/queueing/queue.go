@@ -92,6 +92,104 @@ type Completed struct {
 	Sojourn int
 }
 
+// SojournHistogram is the exact distribution of completed frames'
+// sojourns: Counts[s] frames spent s slots in the queue. Sojourns are
+// integers, so the histogram loses nothing a per-frame record list
+// would keep for counting, averaging, or interpolated percentiles, and
+// its memory grows with the longest sojourn rather than with the run.
+// The zero value is empty.
+type SojournHistogram struct {
+	// Counts is indexed by sojourn in slots; it grows to the longest
+	// sojourn seen.
+	Counts []int64
+	// Total is the number of frames, Σ Counts.
+	Total int64
+	// Sum is the total sojourn, Σ s·Counts[s].
+	Sum int64
+}
+
+// Histogram percentile errors.
+var (
+	ErrEmptyHistogram  = errors.New("queueing: percentile of empty sojourn histogram")
+	ErrPercentileRange = errors.New("queueing: percentile out of [0,100]")
+)
+
+// Add records one frame's sojourn (a slot count, never negative).
+func (h *SojournHistogram) Add(sojourn int) {
+	if sojourn < 0 {
+		panic("queueing: negative sojourn")
+	}
+	if sojourn >= len(h.Counts) {
+		h.Counts = append(h.Counts, make([]int64, sojourn+1-len(h.Counts))...)
+	}
+	h.Counts[sojourn]++
+	h.Total++
+	h.Sum += int64(sojourn)
+}
+
+// Merge adds o's frames to h.
+func (h *SojournHistogram) Merge(o *SojournHistogram) {
+	if len(o.Counts) > len(h.Counts) {
+		h.Counts = append(h.Counts, make([]int64, len(o.Counts)-len(h.Counts))...)
+	}
+	for s, c := range o.Counts {
+		h.Counts[s] += c
+	}
+	h.Total += o.Total
+	h.Sum += o.Sum
+}
+
+// Mean returns the mean sojourn (0 when empty). The integer sum is
+// exact, so while it stays below 2^53 the result equals the float sum of
+// the per-frame sojourns divided by their count.
+func (h *SojournHistogram) Mean() float64 {
+	if h.Total == 0 {
+		return 0
+	}
+	return float64(h.Sum) / float64(h.Total)
+}
+
+// Percentile returns the p-th percentile, p ∈ [0, 100], interpolated
+// between order statistics exactly as stats.Percentile does over the
+// expanded per-frame samples: rank p/100·(n−1), the floor and ceiling
+// order statistics read from cumulative counts, and linear
+// interpolation between them. The result equals stats.Percentile's bit
+// for bit.
+func (h *SojournHistogram) Percentile(p float64) (float64, error) {
+	if h.Total == 0 {
+		return 0, ErrEmptyHistogram
+	}
+	if !(p >= 0 && p <= 100) {
+		return 0, ErrPercentileRange
+	}
+	rank := p / 100 * float64(h.Total-1)
+	lo := int64(math.Floor(rank))
+	hi := int64(math.Ceil(rank))
+	vlo, vhi := h.orderStat(lo, hi)
+	if lo == hi {
+		return vlo, nil
+	}
+	frac := rank - float64(lo)
+	return vlo*(1-frac) + vhi*frac, nil
+}
+
+// orderStat returns the lo-th and hi-th smallest sojourns (0-based,
+// lo ≤ hi < Total) in one pass over the cumulative counts.
+func (h *SojournHistogram) orderStat(lo, hi int64) (vlo, vhi float64) {
+	var seen int64
+	loFound := false
+	for s, c := range h.Counts {
+		seen += c
+		if !loFound && lo < seen {
+			vlo, loFound = float64(s), true
+		}
+		if hi < seen {
+			return vlo, float64(s)
+		}
+	}
+	panic("queueing: order statistic beyond histogram total")
+}
+
 // FrameQueue is a FIFO of frames with partial service: a slot's capacity
 // drains the head frame first and rolls over to later frames.
 //

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"qarv/internal/geom"
+	"qarv/internal/stats"
 )
 
 func TestBacklogLindleyRecursion(t *testing.T) {
@@ -420,6 +422,89 @@ func TestCancelCheckDefaults(t *testing.T) {
 	for i := 0; i < 3*PollEvery; i++ {
 		if err := c.Check(); err != nil {
 			t.Fatalf("nil-context checker canceled: %v", err)
+		}
+	}
+}
+
+// TestSojournHistogramMatchesPercentile: the histogram's mean and
+// interpolated percentiles equal stats.Percentile and the float mean
+// over the expanded samples bit for bit, and Merge equals sequential Add.
+func TestSojournHistogramMatchesPercentile(t *testing.T) {
+	rng := geom.NewRNG(17)
+	cases := map[string][]int{
+		"one":       {7},
+		"all-equal": {3, 3, 3, 3, 3},
+		"zeros":     {0, 0, 0},
+	}
+	uniform := make([]int, 501)
+	for i := range uniform {
+		uniform[i] = rng.Intn(40)
+	}
+	cases["uniform"] = uniform
+	tail := make([]int, 2000)
+	for i := range tail {
+		tail[i] = int(rng.Exp(2))
+		if rng.Intn(100) == 0 {
+			tail[i] += 500 + rng.Intn(5000) // a long, sparse tail
+		}
+	}
+	cases["long-tail"] = tail
+
+	for name, samples := range cases {
+		var h, a, b SojournHistogram
+		xs := make([]float64, len(samples))
+		var sum float64
+		for i, s := range samples {
+			h.Add(s)
+			if i%3 == 0 {
+				a.Add(s)
+			} else {
+				b.Add(s)
+			}
+			xs[i] = float64(s)
+			sum += xs[i]
+		}
+		if h.Total != int64(len(samples)) {
+			t.Fatalf("%s: Total %d, want %d", name, h.Total, len(samples))
+		}
+		if got, want := h.Mean(), sum/float64(len(xs)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Mean %v, want %v", name, got, want)
+		}
+		ps := []float64{0, 1, 50, 95, 99, 100}
+		for i := 0; i < 50; i++ {
+			ps = append(ps, 100*rng.Float64())
+		}
+		for _, p := range ps {
+			got, err := h.Percentile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := stats.Percentile(xs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: Percentile(%v) = %v, want %v", name, p, got, want)
+			}
+		}
+		a.Merge(&b)
+		if a.Total != h.Total || a.Sum != h.Sum || !slices.Equal(a.Counts, h.Counts) {
+			t.Errorf("%s: Merge gives %+v, sequential Add %+v", name, a, h)
+		}
+	}
+
+	var empty SojournHistogram
+	if empty.Mean() != 0 {
+		t.Error("empty histogram mean must be 0")
+	}
+	if _, err := empty.Percentile(50); !errors.Is(err, ErrEmptyHistogram) {
+		t.Errorf("empty Percentile err = %v", err)
+	}
+	one := SojournHistogram{}
+	one.Add(1)
+	for _, p := range []float64{-1, 101, math.NaN()} {
+		if _, err := one.Percentile(p); !errors.Is(err, ErrPercentileRange) {
+			t.Errorf("Percentile(%v) err = %v, want ErrPercentileRange", p, err)
 		}
 	}
 }

@@ -48,9 +48,9 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	// Sojourns must reflect only admitted work: the bounded queue holds
 	// at most 100k work against 170k service, so no admitted frame waits
 	// more than one slot.
-	for _, fr := range res.Completed {
-		if fr.Sojourn > 1 {
-			t.Errorf("frame %d sojourn %d slots exceeds the bounded queue's drain time", fr.ID, fr.Sojourn)
+	for s, n := range res.Sojourns.Counts {
+		if s > 1 && n > 0 {
+			t.Errorf("%d frames sojourned %d slots, beyond the bounded queue's drain time", n, s)
 		}
 	}
 	// λ counts admitted frames only: of the 2 offered per slot, one is
@@ -58,9 +58,9 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	if lam := res.Little.Lambda(); math.Abs(lam-1) > 1e-12 {
 		t.Errorf("lambda = %v, want 1 (admitted frames only)", lam)
 	}
-	if got := res.DroppedFrames + len(res.Completed) + k.Queued(); got != 2*slots {
+	if got := res.DroppedFrames + int(res.Sojourns.Total) + k.Queued(); got != 2*slots {
 		t.Errorf("dropped %d + completed %d + queued %d != %d offered",
-			res.DroppedFrames, len(res.Completed), k.Queued(), 2*slots)
+			res.DroppedFrames, res.Sojourns.Total, k.Queued(), 2*slots)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestNegativeArrivalsClamped(t *testing.T) {
 	if gap := res.Little.LawGap(); math.IsNaN(gap) || gap < 0 {
 		t.Errorf("LawGap = %v", gap)
 	}
-	if len(res.Completed) != 200 {
-		t.Errorf("completed %d frames, want 200", len(res.Completed))
+	if res.Sojourns.Total != 200 {
+		t.Errorf("completed %d frames, want 200", res.Sojourns.Total)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestMultiResultsCarryFrameAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range res.PerDevice {
-		if len(r.Completed) == 0 {
+		if r.Sojourns.Total == 0 {
 			t.Fatalf("device %d completed no frames", i)
 		}
 		if r.MeanSojourn <= 0 {

@@ -62,6 +62,11 @@ type MultiConfig struct {
 	// device is its own track, and allocator decisions land on the
 	// "alloc" category.
 	Recorder *obs.FlightRecorder
+	// OnFrame, when non-nil, receives every completed frame as it
+	// completes, in slot order, then device order, then FIFO order. It
+	// is for consumers that need each frame's record (Result keeps only
+	// the sojourn histogram); c is valid only during the call.
+	OnFrame func(device int, c queueing.Completed)
 }
 
 // Multi-device validation errors.
@@ -77,8 +82,8 @@ func (c *MultiConfig) Validate() error {
 	if c.Service == nil {
 		return ErrNilService
 	}
-	if c.Slots <= 0 {
-		return fmt.Errorf("%w: %d", ErrBadSlots, c.Slots)
+	if err := checkSlots(c.Slots); err != nil {
+		return err
 	}
 	for i, dev := range c.Devices {
 		if dev.Policy == nil {
@@ -98,7 +103,7 @@ func (c *MultiConfig) Validate() error {
 }
 
 // MultiResult aggregates per-device results of a shared run. Each
-// per-device Result carries the full frame accounting (Completed,
+// per-device Result carries the full frame accounting (Sojourns,
 // MeanSojourn, Little, DroppedWork/DroppedFrames), exactly as a
 // single-device run would.
 type MultiResult struct {
@@ -132,6 +137,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 	for i, dev := range cfg.Devices {
 		runners[i] = newDeviceRunner(dev, cfg.Slots)
 		runners[i].setTelemetry(cfg.Metrics, cfg.Recorder)
+		runners[i].onFrame = cfg.OnFrame
 	}
 	var allocSlots *obs.Counter
 	var allocShare *obs.Histogram

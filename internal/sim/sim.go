@@ -81,8 +81,22 @@ var (
 	ErrNilCost     = errors.New("sim: nil cost model")
 	ErrNilUtility  = errors.New("sim: nil utility model")
 	ErrNilService  = errors.New("sim: nil service process")
-	ErrBadSlots    = errors.New("sim: slot count must be positive")
+	ErrBadSlots    = errors.New("sim: slot count must lie in [1, 2^28]")
 )
+
+// MaxSlots caps a Session-path horizon. Result keeps five per-slot
+// series of Slots entries each, about 40 B per slot per device, so the
+// cap already stands for about 11 GB per device; a larger count is
+// rejected with ErrBadSlots instead of failing inside make.
+const MaxSlots = 1 << 28
+
+// checkSlots rejects horizons outside [1, MaxSlots].
+func checkSlots(slots int) error {
+	if slots <= 0 || slots > MaxSlots {
+		return fmt.Errorf("%w: %d", ErrBadSlots, slots)
+	}
+	return nil
+}
 
 // Validate checks the configuration without running it (the Session API
 // validates once at construction).
@@ -100,10 +114,8 @@ func (c *Config) validate() error {
 		return ErrNilUtility
 	case c.Service == nil:
 		return ErrNilService
-	case c.Slots <= 0:
-		return fmt.Errorf("%w: %d", ErrBadSlots, c.Slots)
 	}
-	return nil
+	return checkSlots(c.Slots)
 }
 
 // Result holds the full trajectory of one run plus summary statistics.
@@ -117,8 +129,9 @@ type Result struct {
 	Served  []float64 // work served in slot t
 	Utility []float64 // pa(d(t))
 
-	// Frame accounting.
-	Completed []queueing.Completed
+	// Frame accounting. Sojourns holds the exact sojourn distribution
+	// of every completed frame (no per-frame records are kept).
+	Sojourns queueing.SojournHistogram
 	// DroppedWork is the work rejected by the bounded backlog;
 	// DroppedFrames counts the frames that overflow removed whole from
 	// the frame queue (they never complete).
@@ -150,8 +163,8 @@ func (r *Result) DepthHistogram() map[int]int {
 
 // deviceRunner folds one device's kernel slots into a full Result for
 // single-device (RunContext) and multi-device (RunMultiContext) runs:
-// per-slot slices, Completed records, the Little estimator, telemetry,
-// and observer events.
+// per-slot slices, the sojourn histogram, the Little estimator,
+// telemetry, and observer events.
 type deviceRunner struct {
 	kernel Kernel
 	res    *Result
@@ -163,6 +176,10 @@ type deviceRunner struct {
 	// lastDepth lets the recorder log only depth *changes*.
 	tel       *telemetry
 	lastDepth int
+
+	// onFrame, when non-nil, receives each completed frame
+	// (MultiConfig.OnFrame).
+	onFrame func(device int, c queueing.Completed)
 }
 
 func newDeviceRunner(dev Device, slots int) *deviceRunner {
@@ -197,8 +214,11 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 	res.Served[t] = s.Served
 	res.DroppedFrames += s.DroppedFrames
 	for _, c := range s.Completed {
-		res.Completed = append(res.Completed, c)
+		res.Sojourns.Add(c.Sojourn)
 		res.Little.ObserveCompletion(c.Sojourn)
+		if r.onFrame != nil {
+			r.onFrame(device, c)
+		}
 	}
 	// Sample the queue at end of slot so L and W use the same clock
 	// (a frame completing in its arrival slot contributes 0 to both).
@@ -245,13 +265,7 @@ func (r *deviceRunner) finalize(slots int) *Result {
 	res.FinalBacklog = r.kernel.Level()
 	res.TimeAvgUtility = r.utilSum / float64(slots)
 	res.TimeAvgBacklog = r.backlogSum / float64(slots)
-	if len(res.Completed) > 0 {
-		var s float64
-		for _, c := range res.Completed {
-			s += float64(c.Sojourn)
-		}
-		res.MeanSojourn = s / float64(len(res.Completed))
-	}
+	res.MeanSojourn = res.Sojourns.Mean()
 	return res
 }
 

@@ -78,6 +78,7 @@ func TestValidation(t *testing.T) {
 		{func(c *Config) { c.Utility = nil }, ErrNilUtility},
 		{func(c *Config) { c.Service = nil }, ErrNilService},
 		{func(c *Config) { c.Slots = 0 }, ErrBadSlots},
+		{func(c *Config) { c.Slots = MaxSlots + 1 }, ErrBadSlots},
 	}
 	for i, tc := range cases {
 		cfg := valid
@@ -88,6 +89,22 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(valid); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	valid.Slots = MaxSlots
+	if err := valid.Validate(); err != nil {
+		t.Errorf("MaxSlots horizon rejected: %v", err)
+	}
+	multi := MultiConfig{
+		Devices: []Device{{Policy: max, Arrivals: valid.Arrivals, Cost: c, Utility: u}},
+		Service: valid.Service,
+		Slots:   MaxSlots,
+	}
+	if err := multi.Validate(); err != nil {
+		t.Errorf("MaxSlots multi horizon rejected: %v", err)
+	}
+	multi.Slots = MaxSlots + 1
+	if err := multi.Validate(); !errors.Is(err, ErrBadSlots) {
+		t.Errorf("multi Slots = MaxSlots+1: err = %v, want ErrBadSlots", err)
 	}
 }
 
@@ -227,8 +244,8 @@ func TestFrameCompletionsUnderStableLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Completed) < 299 {
-		t.Errorf("only %d/300 frames completed", len(res.Completed))
+	if res.Sojourns.Total < 299 {
+		t.Errorf("only %d/300 frames completed", res.Sojourns.Total)
 	}
 	if res.MeanSojourn > 1 {
 		t.Errorf("mean sojourn = %v slots for an underloaded queue", res.MeanSojourn)

@@ -33,8 +33,8 @@ func TestTelemetryCountsAndRecords(t *testing.T) {
 	if got := cfg.Metrics.Counter(MetricFramesDropped).Value(); got != int64(res.DroppedFrames) {
 		t.Fatalf("%s = %d, want %d", MetricFramesDropped, got, res.DroppedFrames)
 	}
-	if got := cfg.Metrics.Counter(MetricFramesCompleted).Value(); got != int64(len(res.Completed)) {
-		t.Fatalf("%s = %d, want %d", MetricFramesCompleted, got, len(res.Completed))
+	if got := cfg.Metrics.Counter(MetricFramesCompleted).Value(); got != res.Sojourns.Total {
+		t.Fatalf("%s = %d, want %d", MetricFramesCompleted, got, res.Sojourns.Total)
 	}
 	if got := cfg.Metrics.Histogram(MetricBacklog).Count(); got != 100 {
 		t.Fatalf("%s count = %d, want 100", MetricBacklog, got)
@@ -103,6 +103,40 @@ func TestTelemetryDisabledZeroAllocPerSlot(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-telemetry slot loop allocates (%v allocs per 100 slots)", allocs)
+	}
+}
+
+// TestDeviceRunnerStepAllocationFreeWithFrames is the frame-carrying
+// half of TestTelemetryDisabledZeroAllocPerSlot: one frame arrives and
+// completes per slot on a stable service, and once the frame queue and
+// the sojourn histogram have grown, folding a slot into the Result must
+// not allocate.
+func TestDeviceRunnerStepAllocationFreeWithFrames(t *testing.T) {
+	u, c := fixtures(t)
+	const slots, warm, perRun = 12_500, 200, 4000
+	dev := newDeviceRunner(Device{
+		Policy: &policy.FixedDepth{Depth: 8}, // a(8)=110k < 170k service
+		Cost:   c, Utility: u, Arrivals: &queueing.DeterministicArrivals{PerSlot: 1},
+	}, slots)
+	dev.setTelemetry(nil, nil)
+	next := 0
+	for ; next < warm; next++ {
+		dev.step(next, testService, -1, nil)
+	}
+	before := dev.res.Sojourns.Total
+	// Few long runs: AllocsPerRun floors allocs/runs, and an amortized
+	// slice append allocates only a few times per run.
+	allocs := testing.AllocsPerRun(2, func() {
+		for i := 0; i < perRun; i++ {
+			dev.step(next, testService, -1, nil)
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("slot loop with frames allocates (%v allocs per %d slots)", allocs, perRun)
+	}
+	if got := dev.res.Sojourns.Total - before; got < 3*perRun {
+		t.Fatalf("only %d frames completed during the measured slots", got)
 	}
 }
 

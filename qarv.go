@@ -321,6 +321,9 @@ type (
 	SimConfig = sim.Config
 	// SimResult is a full run trajectory plus summaries.
 	SimResult = sim.Result
+	// SojournHistogram is the exact completed-frame sojourn distribution
+	// a SimResult carries in Sojourns.
+	SojournHistogram = queueing.SojournHistogram
 	// Device is one client of a multi-device run.
 	Device = sim.Device
 	// MultiResult aggregates per-device results of a shared run.

@@ -91,6 +91,9 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(WithOffload(OffloadParams{}), WithSlots(-5)); !errors.Is(err, sim.ErrBadSlots) {
 		t.Errorf("offload WithSlots(-5) = %v, want ErrBadSlots", err)
 	}
+	if _, err := NewSession(WithOffload(OffloadParams{}), WithSlots(sim.MaxSlots+1)); !errors.Is(err, sim.ErrBadSlots) {
+		t.Errorf("offload WithSlots(MaxSlots+1) = %v, want ErrBadSlots", err)
+	}
 	if _, err := NewSession(WithOffload(OffloadParams{}), WithLink(LinkConfig{LossProb: -0.5})); err == nil {
 		t.Error("negative loss probability accepted at construction")
 	}
@@ -480,7 +483,7 @@ func TestSessionWithAllocator(t *testing.T) {
 		t.Errorf("allocator = %q, want max-weight", rep.Multi.Allocator)
 	}
 	for i, r := range rep.Multi.PerDevice {
-		if len(r.Completed) == 0 {
+		if r.Sojourns.Total == 0 {
 			t.Errorf("device %d reports no completed frames", i)
 		}
 	}
